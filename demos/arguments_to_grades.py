@@ -9,15 +9,13 @@ verification harnesses check that correspondence in both directions.
 """
 
 from logag import (
-    check_theorem1,
-    check_theorem2,
     default_indexing,
     enumerate_arguments,
     enumerate_structures,
     parse_rules,
     render,
-    structure_level,
     translate,
+    verify,
     wffs,
 )
 
@@ -46,12 +44,9 @@ def main():
 
     theory = translate(rules, idx)
     print(f"\ntranslated theory has {len(theory.terms)} terms; checking correspondence:")
-    for i, s in enumerate(structures, start=1):
-        level = structure_level(s, rules, idx)
-        r1 = check_theorem1(rules, idx, s)
-        r2 = check_theorem2(rules, idx, s)
+    for i, (_, r1, r2) in enumerate(verify(rules, idx), start=1):
         print(
-            f"T{i} at depth {level}: "
+            f"T{i} at depth {r1.level}: "
             f"every supported formula is a graded consequence: {r1.passed}; "
             f"every graded consequence is classically forced: {r2.passed}"
         )

@@ -47,8 +47,8 @@ from .grading import (
     Canon,
     GradingChain,
     LevelRecord,
+    RunContext,
     TelescopeTrace,
-    TelescopingState,
     depth1_expansion,
     embedding_degree,
     find_fixpoint,
@@ -57,8 +57,6 @@ from .grading import (
     graded_consequences,
     grading_chains,
     is_graded,
-    kernel_survivors,
-    make_state,
     supported,
     survives,
     telescope_n,
@@ -91,6 +89,7 @@ from .arguments import (
     translate,
     translation_parts,
     validate_structure,
+    verify,
     wffs,
 )
 

@@ -32,10 +32,10 @@ from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .classical import entails, is_consistent, relevant_universe
+from .classical import Universe, entails, is_consistent, relevant_universe
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError, ParseError
-from .grading import Canon, graded_consequences, telescope_n
+from .grading import Canon, LevelRecord, telescope_n
 from .terms import (
     And,
     Atom,
@@ -487,19 +487,17 @@ class Theorem1Report:
 
 
 def check_theorem1(
-    rules: RuleSet,
-    idx: Indexing,
     t: ArgumentStructure,
+    record: LevelRecord,
     limits: Limits = DEFAULT_LIMITS,
 ) -> Theorem1Report:
-    """Every supported formula of the structure holds at its level."""
-    level = structure_level(t, rules, idx)
-    theory = translate(rules, idx, limits)
-    canon = Canon("sum", "max", level)
+    """Every supported formula of the structure holds at its level.
+
+    ``record`` is the structure's level in the translated theory's trace.
+    """
     targets = sorted(wffs(t), key=render)
-    answers = graded_consequences(theory, canon, targets, limits)
-    results = tuple((w, answers[w]) for w in targets)
-    return Theorem1Report(level, results, all(ok for _, ok in results))
+    results = tuple((w, entails(record.base, w, limits=limits)) for w in targets)
+    return Theorem1Report(record.index, results, all(ok for _, ok in results))
 
 
 @dataclass(frozen=True)
@@ -536,27 +534,24 @@ def _maximal_consistent_extensions(
 
 def check_theorem2(
     rules: RuleSet,
-    idx: Indexing,
     t: ArgumentStructure,
+    record: LevelRecord,
+    universe: Universe,
     limits: Limits = DEFAULT_LIMITS,
 ) -> Theorem2Report:
     """Every graded consequence at the structure's level is classically forced.
 
-    Each non-grading universe term the graded filter contains must follow
-    classically from the structure's own rules together with a maximal set
-    of monotonic rules consistent with them; all maximal sets are checked.
-    Grading terms are skipped: they are never rule images.
+    ``record`` is the structure's level in the translated theory's trace and
+    ``universe`` that theory's universe. Each non-grading universe term the
+    graded filter contains must follow classically from the structure's own
+    rules together with a maximal set of monotonic rules consistent with
+    them; all maximal sets are checked. Grading terms are skipped: they are
+    never rule images.
     """
-    level = structure_level(t, rules, idx)
-    theory = translate(rules, idx, limits)
-    canon = Canon("sum", "max", level)
-    universe = relevant_universe(theory)
-    trace = telescope_n(theory, canon, (), limits)
-    final = trace.final_base()
     consequences = [
         u
         for u in universe.terms
-        if not isinstance(u, Grade) and entails(final, u, limits=limits)
+        if not isinstance(u, Grade) and entails(record.base, u, limits=limits)
     ]
     structure_base = frozenset(pi(r) for r in rules_of_structure(t, rules))
     failures = []
@@ -568,9 +563,37 @@ def check_theorem2(
             if not entails(base, u, limits=limits):
                 failures.append((u, base))
     return Theorem2Report(
-        level,
+        record.index,
         len(consequences) * max(len(bases), 1),
         tuple(bases),
         tuple(failures),
         not failures,
+    )
+
+
+def verify(
+    rules: RuleSet,
+    idx: Indexing,
+    limits: Limits = DEFAULT_LIMITS,
+) -> tuple[tuple[ArgumentStructure, Theorem1Report, Theorem2Report], ...]:
+    """Both harnesses over every argument structure, smallest first.
+
+    The rules are translated once and telescoped once, to the highest
+    structure level. A telescoping step never depends on how far the run
+    goes, so that trace holds every structure's level.
+    """
+    structures = enumerate_structures(rules, limits)
+    if not structures:
+        return ()
+    levels = [structure_level(s, rules, idx) for s in structures]
+    theory = translate(rules, idx, limits)
+    trace = telescope_n(theory, Canon("sum", "max", max(levels)), (), limits)
+    universe = relevant_universe(theory)
+    return tuple(
+        (
+            s,
+            check_theorem1(s, trace.levels[level], limits),
+            check_theorem2(rules, s, trace.levels[level], universe, limits),
+        )
+        for s, level in zip(structures, levels)
     )

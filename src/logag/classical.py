@@ -17,6 +17,7 @@ components with disjoint atoms).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .config import DEFAULT_LIMITS, Limits
@@ -199,7 +200,7 @@ class Universe:
 
     terms: tuple[Term, ...]
 
-    @property
+    @cached_property
     def term_set(self) -> frozenset[Term]:
         return frozenset(self.terms)
 

@@ -19,23 +19,20 @@ from dataclasses import replace
 from typing import Optional
 
 from .arguments import (
-    check_theorem1,
-    check_theorem2,
     default_indexing,
     enumerate_arguments,
     enumerate_structures,
     maximal_structures,
     parse_indexing,
     parse_rules,
-    structure_level,
     translate,
+    verify,
     wffs,
     _argument_key,
 )
-from .classical import entails
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError, ParseError
-from .grading import Canon, telescope_n, trace_to_dict
+from .grading import Canon, graded_consequences, telescope_n, trace_to_dict
 from .terms import parse_term, parse_theory, render, theory_to_text
 
 EXIT_OK = 0
@@ -121,9 +118,8 @@ def _cmd_check(ns, out) -> int:
     theory = parse_theory(_read(ns.theory))
     queries = [parse_term(q) for q in ns.query]
     canon = Canon(ns.otimes, ns.oplus, ns.level)
-    trace = telescope_n(theory, canon, queries, _limits(ns))
-    base = trace.final_base()
-    answers = [(q, entails(base, q, limits=_limits(ns))) for q in queries]
+    holds = graded_consequences(theory, canon, queries, _limits(ns))
+    answers = [(q, holds[q]) for q in queries]
     if ns.format == "json":
         doc = {
             "theory": theory.name,
@@ -195,15 +191,11 @@ def _cmd_args(ns, out) -> int:
         return EXIT_OK
 
     # verify
-    structures = enumerate_structures(rules, limits)
     all_ok = True
-    for i, s in enumerate(structures, start=1):
-        level = structure_level(s, rules, idx)
-        r1 = check_theorem1(rules, idx, s, limits)
-        r2 = check_theorem2(rules, idx, s, limits)
+    for i, (_, r1, r2) in enumerate(verify(rules, idx, limits), start=1):
         all_ok = all_ok and r1.passed and r2.passed
         print(
-            f"T{i} (level {level}): supported-formulas check "
+            f"T{i} (level {r1.level}): supported-formulas check "
             f"{'PASS' if r1.passed else 'FAIL'}, classical-bound check "
             f"{'PASS' if r2.passed else 'FAIL'}",
             file=out,

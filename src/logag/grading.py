@@ -6,10 +6,12 @@ One telescoping step takes a base of believed propositions and
    releases the proposition directly inside it (``depth1_expansion``);
 2. finds every minimal conflict in the expanded set and keeps only the
    members that survive each conflict they belong to, where survival is
-   decided by comparing fused grades (``kernel_survivors``);
+   decided by comparing fused grades (``survives``);
 3. keeps only the survivors that are still supported: consequences of the
    fixed top theory, or propositions reachable through a grading chain whose
    outermost grading proposition the supported set entails (``supported``).
+
+``telescope_once`` takes the whole step and ``telescope_n`` iterates it.
 
 Grades fuse along a chain with the ``otimes`` operator and across chains
 with ``oplus``. At telescoping step i only chains of length at most i
@@ -78,29 +80,19 @@ class GradingChain:
 
 
 @dataclass(frozen=True)
-class TelescopingState:
-    """Everything one telescoping step needs besides the evolving base.
+class RunContext:
+    """What every step of one telescoping run shares.
 
-    ``canon.level`` is the index of the step being taken; callers advancing
-    through several steps must supply a fresh state per step. The grade
+    The step index is not part of it: each step receives its own. The grade
     order is the numeric order on exact rationals, the single total order
     the grade sort carries here.
     """
 
     top: frozenset[Term]
-    canon: Canon
     universe: Universe
+    otimes: str
+    oplus: str
     limits: Limits = DEFAULT_LIMITS
-
-
-def make_state(
-    theory: Theory,
-    canon: Canon,
-    queries: Iterable[Term] = (),
-    limits: Limits = DEFAULT_LIMITS,
-) -> TelescopingState:
-    universe = relevant_universe(theory, queries)
-    return TelescopingState(frozenset(theory.terms), canon, universe, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +166,7 @@ def fused_grade(p: Term, q: Iterable[Term], canon: Canon) -> GradeValue:
 # One telescoping step
 
 
-def depth1_expansion(base: Iterable[Term], st: TelescopingState) -> frozenset[Term]:
+def depth1_expansion(base: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     """Filter representative of the base plus one level of extraction.
 
     The representative is every universe term the base entails; on top of
@@ -183,13 +175,13 @@ def depth1_expansion(base: Iterable[Term], st: TelescopingState) -> frozenset[Te
     grading term a member in its own right.
     """
     base_fs = base if isinstance(base, frozenset) else frozenset(base)
-    filter_rep = {u for u in st.universe.terms if entails(base_fs, u, limits=st.limits)}
+    filter_rep = {u for u in ctx.universe.terms if entails(base_fs, u, limits=ctx.limits)}
     released = {g.inner for g in filter_rep if isinstance(g, Grade)}
     return frozenset(filter_rep | released)
 
 
-def survives(p: Term, x: Kernel, q: Iterable[Term], st: TelescopingState) -> bool:
-    """Whether kernel member ``p`` withstands the conflict ``x``.
+def survives(p: Term, x: Kernel, q: Iterable[Term], ctx: RunContext, step: int) -> bool:
+    """Whether kernel member ``p`` withstands the conflict ``x`` at ``step``.
 
     A member survives if it is ungraded, or if the kernel pins the blame on
     another member: one whose negation the top theory already entails (that
@@ -197,37 +189,26 @@ def survives(p: Term, x: Kernel, q: Iterable[Term], st: TelescopingState) -> boo
     is kicked out on its own account), or one outside the top theory's
     consequences that is ungraded or carries a strictly smaller fused grade.
     Members with equal fused grades cannot blame each other, so both fall.
+    Grades fuse over the chains no longer than ``step``.
     """
     q_fs = q if isinstance(q, frozenset) else frozenset(q)
     if not is_graded(p, q_fs):
         return True
-    p_grade = fused_grade(p, q_fs, st.canon)
+    canon = Canon(ctx.otimes, ctx.oplus, step)
+    p_grade = fused_grade(p, q_fs, canon)
     for other in x.members:
-        if other != p and entails(st.top, Not(other), limits=st.limits):
+        if other != p and entails(ctx.top, Not(other), limits=ctx.limits):
             return True
-        if entails(st.top, other, limits=st.limits):
+        if entails(ctx.top, other, limits=ctx.limits):
             continue
         if not is_graded(other, q_fs):
             return True
-        if fused_grade(other, q_fs, st.canon) < p_grade:
+        if fused_grade(other, q_fs, canon) < p_grade:
             return True
     return False
 
 
-def kernel_survivors(q: Iterable[Term], st: TelescopingState) -> frozenset[Term]:
-    """Members of ``q`` that survive every kernel containing them."""
-    q_fs = q if isinstance(q, frozenset) else frozenset(q)
-    kernels = bottom_kernels(q_fs, st.universe, limits=st.limits)
-    if not kernels:
-        return q_fs
-    return frozenset(
-        p
-        for p in q_fs
-        if all(survives(p, x, q_fs, st) for x in kernels if p in x.members)
-    )
-
-
-def supported(q: Iterable[Term], st: TelescopingState) -> frozenset[Term]:
+def supported(q: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     """Least fixpoint of top-theory consequence plus chain-borne support.
 
     Starts from every universe term the top theory entails, then repeatedly
@@ -237,7 +218,7 @@ def supported(q: Iterable[Term], st: TelescopingState) -> frozenset[Term]:
     followed from a now-evicted proposition) drop out here.
     """
     q_fs = q if isinstance(q, frozenset) else frozenset(q)
-    result = {u for u in st.universe.terms if entails(st.top, u, limits=st.limits)}
+    result = {u for u in ctx.universe.terms if entails(ctx.top, u, limits=ctx.limits)}
     witnesses = _chain_witnesses(q_fs)
     pending = sorted((p for p in q_fs if p not in result), key=render)
     changed = True
@@ -247,24 +228,13 @@ def supported(q: Iterable[Term], st: TelescopingState) -> frozenset[Term]:
         still_pending = []
         for p in pending:
             tops = {w for w, _ in witnesses.get(p, ())}
-            if any(w in snapshot or entails(snapshot, w, limits=st.limits) for w in tops):
+            if any(w in snapshot or entails(snapshot, w, limits=ctx.limits) for w in tops):
                 result.add(p)
                 changed = True
             else:
                 still_pending.append(p)
         pending = still_pending
     return frozenset(result)
-
-
-def telescope_once(base: Iterable[Term], st: TelescopingState) -> frozenset[Term]:
-    """One full step: expand, resolve kernels, re-derive support."""
-    q = depth1_expansion(base, st)
-    survivors = kernel_survivors(q, st)
-    return supported(survivors, st)
-
-
-# ---------------------------------------------------------------------------
-# Iterated telescoping
 
 
 @dataclass(frozen=True)
@@ -288,6 +258,31 @@ class LevelRecord:
     fixpoint_reached: bool
 
 
+def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelRecord:
+    """The step leaving level ``index``: application ``index + 1`` of the map.
+
+    Expands the base, finds its kernels, keeps the members that survive
+    every kernel containing them, re-derives support, and tests whether the
+    new base generates the same filter as the old one. Nothing here depends
+    on how many levels the run goes on to, so traces are prefix-consistent.
+    """
+    step = index + 1
+    expansion = depth1_expansion(base, ctx)
+    kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits)
+    survivors = frozenset(
+        p
+        for p in expansion
+        if all(survives(p, x, expansion, ctx, step) for x in kernels if p in x.members)
+    )
+    next_base = supported(survivors, ctx)
+    fixpoint = mutually_entailing(next_base, base, limits=ctx.limits)
+    return LevelRecord(index, base, expansion, kernels, survivors, next_base, fixpoint)
+
+
+# ---------------------------------------------------------------------------
+# Iterated telescoping
+
+
 @dataclass(frozen=True)
 class TelescopeTrace:
     theory_name: str
@@ -307,14 +302,15 @@ def _run_levels(
 ) -> tuple[LevelRecord, ...]:
     if canon.level > limits.level_cap:
         raise CapacityError("telescoping level", limits.level_cap, canon.level)
-    universe = relevant_universe(theory, queries)
-    top = frozenset(theory.terms)
+    ctx = RunContext(
+        frozenset(theory.terms), relevant_universe(theory, queries), canon.otimes, canon.oplus, limits
+    )
     records: list[LevelRecord] = []
-    base = top
-    if not is_consistent(top, limits=limits):
+    base = ctx.top
+    if not is_consistent(ctx.top, limits=limits):
         # An inconsistent top theory already has the improper filter: every
         # proposition is a consequence and conflict resolution cannot help.
-        everything = frozenset(universe.terms)
+        everything = frozenset(ctx.universe.terms)
         for index in range(canon.level + 1):
             records.append(
                 LevelRecord(index, base, everything, frozenset(), everything, everything, True)
@@ -324,26 +320,11 @@ def _run_levels(
             base = everything
         return tuple(records)
     for index in range(canon.level + 1):
-        # The step leaving level i is application i+1 of the telescoping map.
-        step = TelescopingState(top, Canon(canon.otimes, canon.oplus, index + 1), universe, limits)
-        expansion = depth1_expansion(base, step)
-        kernels = bottom_kernels(expansion, universe, limits=limits)
-        if kernels:
-            survivors = frozenset(
-                p
-                for p in expansion
-                if all(survives(p, x, expansion, step) for x in kernels if p in x.members)
-            )
-        else:
-            survivors = expansion
-        next_base = supported(survivors, step)
-        fixpoint = mutually_entailing(next_base, base, limits=limits)
-        records.append(
-            LevelRecord(index, base, expansion, kernels, survivors, next_base, fixpoint)
-        )
-        if stop_at_fixpoint and fixpoint:
+        record = telescope_once(base, index, ctx)
+        records.append(record)
+        if stop_at_fixpoint and record.fixpoint_reached:
             break
-        base = next_base
+        base = record.supported
     return tuple(records)
 
 

@@ -31,10 +31,9 @@ from logag import (
     parse_term as T,
     pi,
     relevant_universe,
-    check_theorem1,
-    check_theorem2,
     telescope_n,
     translate,
+    verify,
     wffs,
 )
 from conftest import random_term, random_theory
@@ -141,11 +140,8 @@ def test_criterion_4_translation_and_level_table(penguin_rules):
 
 def test_criterion_5_theorem_harnesses(penguin_rules):
     idx = default_indexing(penguin_rules)
-    structures = enumerate_structures(penguin_rules)
     levels = []
-    for s in structures:
-        r1 = check_theorem1(penguin_rules, idx, s)
-        r2 = check_theorem2(penguin_rules, idx, s)
+    for _, r1, r2 in verify(penguin_rules, idx):
         assert r1.passed, [str(w) for w, ok in r1.results if not ok]
         assert r2.passed
         levels.append(r1.level)

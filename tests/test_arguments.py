@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -6,25 +7,33 @@ from logag import (
     Argument,
     Canon,
     EngineError,
+    Grade,
     ParseError,
+    Theorem1Report,
+    Theorem2Report,
     chain_term,
-    check_theorem1,
-    check_theorem2,
     default_indexing,
+    entails,
     enumerate_arguments,
     enumerate_structures,
     fused_grade,
+    graded_consequences,
     is_complete,
+    is_consistent,
     maximal_structures,
     parse_indexing,
     parse_rules,
     parse_term as T,
     pi,
+    relevant_universe,
     render,
     rules_of_structure,
+    structure_level,
+    telescope_n,
     translate,
     translation_parts,
     validate_structure,
+    verify,
     wffs,
 )
 from logag.arguments import FACT, MONOTONIC, NONMONOTONIC
@@ -269,17 +278,77 @@ def test_theorem1_both_structures(penguin_rules):
     t_small, t_big = sorted(
         enumerate_structures(penguin_rules), key=lambda s: len(s.arguments)
     )
-    r_small = check_theorem1(penguin_rules, idx, t_small)
+    theorem1 = {s: r1 for s, r1, _ in verify(penguin_rules, idx)}
+    r_small = theorem1[t_small]
     assert r_small.level == 0 and r_small.passed
-    r_big = check_theorem1(penguin_rules, idx, t_big)
+    r_big = theorem1[t_big]
     assert r_big.level == 1 and r_big.passed
 
 
 def test_theorem2_both_structures(penguin_rules):
     idx = default_indexing(penguin_rules)
-    for s in enumerate_structures(penguin_rules):
-        report = check_theorem2(penguin_rules, idx, s)
+    for _, _, report in verify(penguin_rules, idx):
         assert report.passed, [render(u) for u, _ in report.failures]
+
+
+def _reference_reports(rules, idx):
+    """Both harnesses the long way: one telescoping run per structure."""
+    theory = translate(rules, idx)
+    universe = relevant_universe(theory)
+    mono = rules.monotonic()
+    reports = []
+    for s in enumerate_structures(rules):
+        level = structure_level(s, rules, idx)
+        canon = Canon("sum", "max", level)
+        targets = sorted(wffs(s), key=render)
+        answers = graded_consequences(theory, canon, targets)
+        results = tuple((w, answers[w]) for w in targets)
+        r1 = Theorem1Report(level, results, all(ok for _, ok in results))
+
+        final = telescope_n(theory, canon).final_base()
+        consequences = [
+            u for u in universe.terms if not isinstance(u, Grade) and entails(final, u)
+        ]
+        core = frozenset(pi(r) for r in rules_of_structure(s, rules))
+        consistent = [
+            frozenset(c)
+            for n in range(len(mono) + 1)
+            for c in combinations(mono, n)
+            if is_consistent(core | {pi(r) for r in c})
+        ]
+        maximal = [c for c in consistent if not any(c < other for other in consistent)]
+        maximal.sort(key=lambda c: sorted(r.label for r in c))
+        bases = tuple(core | {pi(r) for r in c} for c in maximal)
+        failures = tuple((u, b) for b in bases for u in consequences if not entails(b, u))
+        r2 = Theorem2Report(
+            level, len(consequences) * max(len(bases), 1), bases, failures, not failures
+        )
+        reports.append((s, r1, r2))
+    return tuple(reports)
+
+
+# The last system is a known Theorem 1 counterexample (the default d0 ties
+# with the cancelled image of n0), so it takes the harnesses' failure path.
+@pytest.mark.parametrize(
+    "rules_text, indexing_text",
+    [
+        (None, None),
+        (None, "INDEX: r8\nINDEX: r7\nINDEX: r7, r8\n"),
+        ("f0: a0.\nn0: a0 => a1.\nm0: a1 -> ~b0.\nd0: a0 => b0.\n", None),
+    ],
+    ids=["penguin", "penguin-reindexed", "tie-counterexample"],
+)
+def test_verify_matches_per_structure_reference(penguin_rules, rules_text, indexing_text):
+    rules = penguin_rules if rules_text is None else parse_rules(rules_text)
+    idx = (
+        default_indexing(rules) if indexing_text is None else parse_indexing(indexing_text, rules)
+    )
+    assert verify(rules, idx) == _reference_reports(rules, idx)
+
+
+def test_verify_without_structures_translates_nothing():
+    rules = parse_rules("r1: a.\nr2: ~a.\n")
+    assert verify(rules, default_indexing(rules)) == ()
 
 
 def test_corollary_completeness_respected(penguin_rules):

@@ -7,6 +7,7 @@ from logag import (
     GradingChain,
     Kernel,
     NotEmbeddedError,
+    RunContext,
     UngradedError,
     depth1_expansion,
     embedding_degree,
@@ -17,11 +18,10 @@ from logag import (
     graded_consequences,
     grading_chains,
     is_graded,
-    kernel_survivors,
-    make_state,
     mutually_entailing,
     parse_term as T,
     parse_theory,
+    relevant_universe,
     supported,
     survives,
     telescope_n,
@@ -35,6 +35,10 @@ def terms(*texts):
 
 
 MEAN_MAX = lambda n: Canon("mean", "max", n)
+
+
+def context(theory, otimes="mean", oplus="max", queries=()):
+    return RunContext(theory.terms, relevant_universe(theory, queries), otimes, oplus)
 
 
 # -- embedding degrees -------------------------------------------------------
@@ -116,25 +120,22 @@ def test_fused_grade_on_ungraded_raises():
 
 
 def test_expansion_of_base_theory(penguin_brother):
-    st = make_state(penguin_brother, MEAN_MAX(1))
-    q = depth1_expansion(penguin_brother.terms, st)
+    q = depth1_expansion(penguin_brother.terms, context(penguin_brother))
     assert q == penguin_brother.terms | terms("p", "G(f, 2)")
 
 
 def test_expansion_strips_one_layer_per_step(penguin_brother):
-    st = make_state(penguin_brother, MEAN_MAX(1))
-    level1 = telescope_once(penguin_brother.terms, st)
-    st2 = make_state(penguin_brother, MEAN_MAX(2))
-    q2 = depth1_expansion(level1, st2)
-    filter_rep = {u for u in st2.universe.terms if entails(level1, u)}
+    ctx = context(penguin_brother)
+    level1 = telescope_once(penguin_brother.terms, 0, ctx).supported
+    q2 = depth1_expansion(level1, ctx)
+    filter_rep = {u for u in ctx.universe.terms if entails(level1, u)}
     assert q2 == frozenset(filter_rep) | {T("f")}
     assert T("~f") in q2 and T("w") in q2
 
 
 def test_expansion_without_gradings_adds_no_new_content():
     th = parse_theory("p.\np -> q.\n")
-    st = make_state(th, MEAN_MAX(1))
-    q = depth1_expansion(th.terms, st)
+    q = depth1_expansion(th.terms, context(th))
     assert all(entails(th.terms, t) for t in q)
 
 
@@ -143,74 +144,77 @@ def test_expansion_without_gradings_adds_no_new_content():
 
 @pytest.fixture
 def level2_scene(penguin_brother):
-    st1 = make_state(penguin_brother, MEAN_MAX(1))
-    level1 = telescope_once(penguin_brother.terms, st1)
-    st2 = make_state(penguin_brother, MEAN_MAX(2))
-    q2 = depth1_expansion(level1, st2)
-    return st2, q2
+    """The run's context, level 1's expansion, and the step leaving level 1."""
+    ctx = context(penguin_brother)
+    level1 = telescope_once(penguin_brother.terms, 0, ctx).supported
+    q2 = depth1_expansion(level1, ctx)
+    return ctx, q2, telescope_once(level1, 1, ctx)
 
 
 def test_ungraded_member_survives(level2_scene):
-    st2, q2 = level2_scene
+    ctx, q2, _ = level2_scene
     kernel = Kernel(terms("f", "~f"))
-    assert survives(T("~f"), kernel, q2, st2)
+    assert survives(T("~f"), kernel, q2, ctx, 2)
 
 
 def test_weaker_graded_member_falls(level2_scene):
-    st2, q2 = level2_scene
+    ctx, q2, _ = level2_scene
     kernel = Kernel(terms("p", "~p | ~f", "f"))
-    assert not survives(T("p"), kernel, q2, st2)
-    assert survives(T("f"), kernel, q2, st2)
+    assert not survives(T("p"), kernel, q2, ctx, 2)
+    assert survives(T("f"), kernel, q2, ctx, 2)
 
 
 def test_equal_grades_fall_together():
     th = parse_theory("G(a, 3).\nG(b, 3).\n~a | ~b.\n")
-    st = make_state(th, Canon("sum", "max", 1))
-    q = depth1_expansion(th.terms, st)
+    ctx = context(th, "sum", "max")
+    q = depth1_expansion(th.terms, ctx)
     kernel = Kernel(terms("a", "b", "~a | ~b"))
-    assert not survives(T("a"), kernel, q, st)
-    assert not survives(T("b"), kernel, q, st)
+    assert not survives(T("a"), kernel, q, ctx, 1)
+    assert not survives(T("b"), kernel, q, ctx, 1)
 
 
 def test_survivors_level2(level2_scene):
-    st2, q2 = level2_scene
-    assert kernel_survivors(q2, st2) == q2 - {T("p")}
+    _, q2, step = level2_scene
+    assert step.expansion == q2
+    assert step.survivors == q2 - {T("p")}
 
 
 def test_survivors_of_kernel_free_set(penguin_brother):
-    st = make_state(penguin_brother, MEAN_MAX(1))
-    q = depth1_expansion(penguin_brother.terms, st)
-    assert kernel_survivors(q, st) == q
+    ctx = context(penguin_brother)
+    q = depth1_expansion(penguin_brother.terms, ctx)
+    step = telescope_once(penguin_brother.terms, 0, ctx)
+    assert step.expansion == q and not step.kernels
+    assert step.survivors == q
 
 
 def test_symmetric_ungraded_pair_both_survive():
     th = parse_theory("q.\n")
-    st = make_state(th, Canon("sum", "max", 1), queries=[T("p"), T("~p")])
+    ctx = context(th, "sum", "max", queries=[T("p"), T("~p")])
     q = frozenset({T("p"), T("~p"), T("q")})
-    assert survives(T("p"), Kernel(terms("p", "~p")), q, st)
-    assert survives(T("~p"), Kernel(terms("p", "~p")), q, st)
+    assert survives(T("p"), Kernel(terms("p", "~p")), q, ctx, 1)
+    assert survives(T("~p"), Kernel(terms("p", "~p")), q, ctx, 1)
 
 
 # -- support -----------------------------------------------------------------
 
 
 def test_top_theory_is_self_supported(penguin_brother):
-    st = make_state(penguin_brother, MEAN_MAX(1))
-    assert supported(penguin_brother.terms, st) == penguin_brother.terms
+    assert supported(penguin_brother.terms, context(penguin_brother)) == penguin_brother.terms
 
 
 def test_support_drops_orphaned_consequences(level2_scene):
-    st2, q2 = level2_scene
-    survivors = kernel_survivors(q2, st2)
-    got = supported(survivors, st2)
+    ctx, _, step = level2_scene
+    survivors = step.survivors
+    got = supported(survivors, ctx)
+    assert got == step.supported
     assert got == survivors - {T("~f"), T("w")}
 
 
 def test_supported_set_is_top_closure_plus_graded_members(level2_scene):
-    st2, q2 = level2_scene
-    survivors = kernel_survivors(q2, st2)
-    got = supported(survivors, st2)
-    top_part = {u for u in st2.universe.terms if entails(st2.top, u)}
+    ctx, _, step = level2_scene
+    survivors = step.survivors
+    got = supported(survivors, ctx)
+    top_part = {u for u in ctx.universe.terms if entails(ctx.top, u)}
     chain_part = got - top_part
     assert all(grading_chains(p, survivors) for p in chain_part)
 
@@ -219,10 +223,10 @@ def test_supported_set_is_top_closure_plus_graded_members(level2_scene):
 
 
 def test_level1_base(penguin_brother):
-    st = make_state(penguin_brother, MEAN_MAX(1))
-    level1 = telescope_once(penguin_brother.terms, st)
+    ctx = context(penguin_brother)
+    level1 = telescope_once(penguin_brother.terms, 0, ctx).supported
     filter_rep = {
-        u for u in st.universe.terms if entails(penguin_brother.terms, u)
+        u for u in ctx.universe.terms if entails(penguin_brother.terms, u)
     }
     assert level1 == frozenset(filter_rep) | terms("p", "G(f, 2)")
 
@@ -247,6 +251,18 @@ def test_trace_shape(penguin_brother):
     assert trace.levels[0].base == penguin_brother.terms
     for i in range(3):
         assert trace.levels[i + 1].base == trace.levels[i].supported
+
+
+@pytest.mark.parametrize(
+    "fixture, otimes",
+    [("penguin_brother", "mean"), ("ot1", "sum"), ("penguin_rules_theory", "sum")],
+)
+def test_traces_are_prefix_consistent(request, fixture, otimes):
+    theory = request.getfixturevalue(fixture)
+    top = 6
+    full = telescope_n(theory, Canon(otimes, "max", top)).levels
+    for k in range(top + 1):
+        assert telescope_n(theory, Canon(otimes, "max", k)).levels == full[: k + 1], k
 
 
 def test_level_zero_trace_is_theory(penguin_brother):
