@@ -12,6 +12,10 @@ subset of the queried base. It follows the standard seed/grow/shrink scheme
 for exhaustive minimal-unsatisfiable-subset enumeration, run per
 atom-connected component (a minimal inconsistent set can never straddle two
 components with disjoint atoms).
+
+One SAT core serves both: ``_cnf`` encodes terms as clauses and ``_solve``
+(DPLL with unit propagation) decides them for entailment, and also picks
+each seed of the kernel search from its map of blocking clauses.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ from .terms import Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueT
 # ---------------------------------------------------------------------------
 # Boolean skeletons
 
-# Node encoding: True/False constants, ('v', i) variable, ('n', x) negation,
-# ('a', x, y) conjunction, ('o', x, y) disjunction.
-
 
 def atom_key(t: Term) -> Optional[str]:
     """Canonical key of a term treated atomically, or None for non-atoms.
@@ -42,117 +43,136 @@ def atom_key(t: Term) -> Optional[str]:
     return None
 
 
-def _compile(ts: Iterable[Term], atoms: dict[str, int]):
-    def walk(t: Term):
-        if isinstance(t, TrueTerm):
-            return True
-        if isinstance(t, Less):
-            return bool(t.a < t.b)
-        if isinstance(t, GradeEq):
-            return bool(t.a == t.b)
-        if isinstance(t, (Atom, Grade)):
-            key = render(t)
-            idx = atoms.get(key)
-            if idx is None:
-                idx = atoms[key] = len(atoms)
-            return ("v", idx)
-        if isinstance(t, Not):
-            s = walk(t.inner)
-            if s is True:
-                return False
-            if s is False:
-                return True
-            return ("n", s)
-        if isinstance(t, And):
-            a, b = walk(t.left), walk(t.right)
-            if a is False or b is False:
-                return False
-            if a is True:
-                return b
-            if b is True:
-                return a
-            return ("a", a, b)
-        if isinstance(t, Or):
-            a, b = walk(t.left), walk(t.right)
-            if a is True or b is True:
-                return True
-            if a is False:
-                return b
-            if b is False:
-                return a
-            return ("o", a, b)
-        raise EngineError(f"cannot interpret {t!r} as a proposition")
+def _cnf(ts: Iterable[Term]) -> tuple[int, int, Optional[list[tuple[int, ...]]]]:
+    """Clauses asserting every term of ``ts``, as literals +v / -v over variables 1..n.
 
-    return [walk(t) for t in ts]
+    ``true`` and grade-order atoms fold to constants; atoms are numbered by
+    ``atom_key``; each non-constant ``&`` / ``|`` gets a fresh variable
+    defined equivalent to it (Tseitin). Returns the atom count, the variable
+    count and the clauses, which are None when a term folds to false.
+    """
+    atoms: dict[str, int] = {}
+    clauses: list[tuple[int, ...]] = []
+    n = 0
 
+    def neg(s):
+        return (not s) if isinstance(s, bool) else -s
 
-def _assign(node, var: int, val: bool):
-    if node is True or node is False:
-        return node
-    tag = node[0]
-    if tag == "v":
-        return val if node[1] == var else node
-    if tag == "n":
-        s = _assign(node[1], var, val)
-        if s is True:
-            return False
-        if s is False:
-            return True
-        if s is node[1]:
-            return node
-        return ("n", s)
-    a = _assign(node[1], var, val)
-    b = _assign(node[2], var, val)
-    if tag == "a":
+    def conj(a, b):
+        nonlocal n
         if a is False or b is False:
             return False
         if a is True:
             return b
         if b is True:
             return a
-    else:
-        if a is True or b is True:
+        n += 1
+        clauses.extend(((-n, a), (-n, b), (n, -a, -b)))
+        return n
+
+    def walk(t: Term):
+        nonlocal n
+        if isinstance(t, TrueTerm):
             return True
-        if a is False:
-            return b
-        if b is False:
-            return a
-    if a is node[1] and b is node[2]:
-        return node
-    return (tag, a, b)
+        if isinstance(t, Less):
+            return bool(t.a < t.b)
+        if isinstance(t, GradeEq):
+            return bool(t.a == t.b)
+        key = atom_key(t)
+        if key is not None:
+            if key not in atoms:
+                n += 1
+                atoms[key] = n
+            return atoms[key]
+        if isinstance(t, Not):
+            return neg(walk(t.inner))
+        if isinstance(t, And):
+            return conj(walk(t.left), walk(t.right))
+        if isinstance(t, Or):
+            return neg(conj(neg(walk(t.left)), neg(walk(t.right))))
+        raise EngineError(f"cannot interpret {t!r} as a proposition")
+
+    folded_false = False
+    for t in ts:
+        s = walk(t)
+        if s is False:
+            folded_false = True
+        elif s is not True:
+            clauses.append((s,))
+    return len(atoms), n, None if folded_false else clauses
 
 
-def _first_var(node) -> Optional[int]:
-    if node is True or node is False:
-        return None
-    if node[0] == "v":
-        return node[1]
-    if node[0] == "n":
-        return _first_var(node[1])
-    v = _first_var(node[1])
-    return v if v is not None else _first_var(node[2])
+def _solve(n: int, clauses: Iterable[tuple[int, ...]]) -> Optional[set[int]]:
+    """DPLL with unit propagation over literals +v / -v, 1 <= v <= n.
 
+    Branches on the smallest unassigned variable, true first, so the model
+    found is the first in that order. Returns its true variables, or None
+    when the clauses are unsatisfiable.
+    """
+    true = bytearray(2 * n + 1)  # true[lit]: negative literals index from the end
+    occurs: list[list[tuple[int, ...]]] = [[] for _ in range(2 * n + 1)]
+    units = []
+    for clause in clauses:
+        if not clause:
+            return None
+        if len(clause) == 1:
+            units.append(clause[0])
+        for lit in clause:
+            occurs[lit].append(clause)
+    trail: list[int] = []
 
-def _sat(nodes: list) -> bool:
-    live = [n for n in nodes if n is not True]
-    for n in live:
-        if n is False:
-            return False
-    if not live:
+    def propagate(queue: list[int]) -> bool:
+        while queue:
+            lit = queue.pop()
+            if true[lit]:
+                continue
+            if true[-lit]:
+                return False
+            true[lit] = 1
+            trail.append(lit)
+            for clause in occurs[-lit]:
+                open_lit = 0
+                for x in clause:
+                    if true[x]:
+                        break
+                    if not true[-x]:
+                        if open_lit:
+                            break
+                        open_lit = x
+                else:
+                    if not open_lit:
+                        return False
+                    queue.append(open_lit)
         return True
-    var = _first_var(live[0])
-    for val in (True, False):
-        if _sat([_assign(n, var, val) for n in live]):
-            return True
-    return False
+
+    if not propagate(units):
+        return None
+    decisions: list[tuple[int, int]] = []  # (trail length before, variable set true)
+    v = 1
+    while True:
+        while v <= n and (true[v] or true[-v]):
+            v += 1
+        if v > n:
+            return {u for u in range(1, n + 1) if true[u]}
+        decisions.append((len(trail), v))
+        if propagate([v]):
+            continue
+        while True:  # backtrack: undo the latest decision, then set its variable false
+            if not decisions:
+                return None
+            mark, v = decisions.pop()
+            for undone in trail[mark:]:
+                true[undone] = 0
+            del trail[mark:]
+            if propagate([-v]):
+                break
 
 
 def satisfiable(ts: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS) -> bool:
-    atoms: dict[str, int] = {}
-    nodes = _compile(ts, atoms)
-    if len(atoms) > limits.atom_cap:
-        raise CapacityError("atom count", limits.atom_cap, len(atoms))
-    return _sat(nodes)
+    n_atoms, n, clauses = _cnf(ts)
+    if n_atoms > limits.atom_cap:
+        raise CapacityError("atom count", limits.atom_cap, n_atoms)
+    return clauses is not None and _solve(n, clauses) is not None
 
 
 _entails_cache: dict[tuple[frozenset[Term], Term, int], bool] = {}
@@ -302,49 +322,6 @@ def _components(ts: list[Term]) -> list[list[Term]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _map_model(n: int, clauses: list[tuple[int, ...]]) -> Optional[set[int]]:
-    """Smallest-index-first, true-biased model of the blocking clauses."""
-
-    def solve(assign: dict[int, bool]) -> Optional[dict[int, bool]]:
-        while True:
-            unit = None
-            for clause in clauses:
-                satisfied = False
-                open_lits = []
-                for lit in clause:
-                    val = assign.get(abs(lit) - 1)
-                    if val is None:
-                        open_lits.append(lit)
-                    elif (val and lit > 0) or (not val and lit < 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not open_lits:
-                    return None
-                if len(open_lits) == 1 and unit is None:
-                    unit = open_lits[0]
-            if unit is None:
-                break
-            assign = dict(assign)
-            assign[abs(unit) - 1] = unit > 0
-        for v in range(n):
-            if v not in assign:
-                for val in (True, False):
-                    trial = dict(assign)
-                    trial[v] = val
-                    result = solve(trial)
-                    if result is not None:
-                        return result
-                return None
-        return assign
-
-    model = solve({})
-    if model is None:
-        return None
-    return {v for v in range(n) if model.get(v, True)}
-
-
 def _all_minimal_inconsistent(
     items: list[Term], consistent: Callable[[list[Term]], bool]
 ) -> list[frozenset[Term]]:
@@ -352,10 +329,10 @@ def _all_minimal_inconsistent(
     clauses: list[tuple[int, ...]] = []
     found: list[frozenset[Term]] = []
     while True:
-        seed = _map_model(n, clauses)
+        seed = _solve(n, clauses)
         if seed is None:
             break
-        picked = [i for i in range(n) if i in seed]
+        picked = [i for i in range(n) if i + 1 in seed]
         if consistent([items[i] for i in picked]):
             satisfied = set(picked)
             for i in range(n):

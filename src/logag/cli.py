@@ -7,7 +7,9 @@ Subcommands::
     logag args {enumerate|structures|translate|verify} RULES [--indexing FILE]
 
 Exit codes: 0 every query holds / every check passes, 1 some query fails,
-2 usage or parse error, 3 a capacity limit was exceeded.
+2 usage or parse error or any other engine error (inconsistent base facts,
+a bad indexing file), 3 a capacity limit was exceeded or the input nests
+too deeply.
 """
 
 from __future__ import annotations
@@ -230,6 +232,9 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
+        return EXIT_CAPACITY
 
 
 def console_main() -> None:

@@ -1,11 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from logag import (
+    And,
+    Atom,
     CapacityError,
+    Grade,
     Kernel,
     Limits,
+    Not,
+    Or,
     atom_key,
     bottom_kernels,
     embedded_closure,
@@ -16,6 +22,7 @@ from logag import (
     relevant_universe,
     render,
 )
+from logag.classical import _solve
 from oracles import brute_kernels, tt_entails, tt_satisfiable
 from conftest import random_term
 
@@ -57,6 +64,70 @@ def test_atom_cap_enforced():
         is_consistent(base, limits=Limits(atom_cap=24))
 
 
+def test_atom_cap_counts_atoms_not_connectives():
+    atoms = [Atom(f"p{i}") for i in range(24)]
+    chain = atoms[0]
+    for prev, a in zip(atoms, atoms[1:]):
+        chain = And(chain, Or(a, Not(prev)))
+    chain = And(chain, Or(Not(atoms[0]), atoms[23]))  # 48 `&` and `|` over 24 atoms
+    assert is_consistent([chain])
+    with pytest.raises(CapacityError):
+        is_consistent([chain, Atom("p24")])
+
+
+CONSTANTS = [T("true"), T("1 < 2"), T("2 < 1"), T("1 == 1")]
+
+
+def term_with_constants(rng, atoms, depth):
+    """Random term whose leaves mix atoms with ``true`` and grade-order atoms."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(CONSTANTS) if rng.random() < 0.4 else Atom(rng.choice(atoms))
+    roll = rng.random()
+    if roll < 0.2:
+        return Not(term_with_constants(rng, atoms, depth - 1))
+    if roll < 0.3:
+        return Grade(term_with_constants(rng, atoms, depth - 1), Fraction(rng.randint(1, 3)))
+    op = And if roll < 0.65 else Or
+    return op(term_with_constants(rng, atoms, depth - 1), term_with_constants(rng, atoms, depth - 1))
+
+
+def test_satisfiable_and_entails_fold_constants_like_truth_tables(rng):
+    atoms = ["a", "b", "c", "d"]
+    for _ in range(300):
+        base = frozenset(term_with_constants(rng, atoms, 3) for _ in range(rng.randint(0, 4)))
+        goal = term_with_constants(rng, atoms, 3)
+        assert is_consistent(base) == tt_satisfiable(base)
+        assert entails(base, goal) == tt_entails(base, goal)
+
+
+def test_solve_matches_brute_force_on_random_clause_sets(rng):
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        # The first model when variables are tried smallest first, true first.
+        first = next(
+            (
+                {v for v, b in enumerate(bits, start=1) if b}
+                for bits in product((True, False), repeat=n)
+                if all(any((lit > 0) == bits[abs(lit) - 1] for lit in c) for c in clauses)
+            ),
+            None,
+        )
+        model = _solve(n, clauses)
+        assert model == first
+        if model is not None:
+            assert all(any((lit > 0) == (abs(lit) in model) for lit in c) for c in clauses)
+
+
+def test_solve_without_clauses_sets_every_variable_true():
+    assert _solve(5, []) == {1, 2, 3, 4, 5}
+    assert _solve(0, []) == set()
+    assert _solve(3, [()]) is None
+
+
 def test_entails_matches_truth_table_on_random_bases(rng):
     atoms = ["a", "b", "c", "d", "e", "f"]
     for _ in range(120):
@@ -81,8 +152,6 @@ def test_deduction_closure(rng):
         base = frozenset(random_term(rng, atoms, 2, allow_grades=False) for _ in range(3))
         a = random_term(rng, atoms, 2, allow_grades=False)
         b = random_term(rng, atoms, 2, allow_grades=False)
-        from logag import Not, Or
-
         if entails(base, a) and entails(base, Or(Not(a), b)):
             assert entails(base, b)
 

@@ -6,6 +6,7 @@ from logag.cli import main
 from logag import parse_theory, translate, parse_rules, default_indexing
 
 DATA = Path(__file__).parent / "data"
+REFERENCE = Path(__file__).parent.parent / "benchmarks" / "reference"
 
 
 def run(*argv):
@@ -149,3 +150,23 @@ def test_capacity_error_maps_to_exit_3(tmp_path):
     wide.write_text("".join(f"p{i}.\n" for i in range(30)) + "~p0.\n")
     code, _ = run("check", str(wide), "--query", "p1", "--atom-cap", "24")
     assert code == 3
+
+
+def test_over_deep_input_maps_to_exit_3(tmp_path, capsys):
+    tower = "p"
+    for _ in range(300):
+        tower = f"G({tower}, 1)"
+    deep = tmp_path / "deep.logag"
+    deep.write_text(tower + ".\n")
+    code, _ = run("check", str(deep), "--query", "p")
+    assert code == 3
+    assert "error: input nests too deeply" in capsys.readouterr().err
+
+
+def test_trace_penguin16_matches_benchmark_reference(tmp_path):
+    _, theory = run("args", "translate", str(DATA / "penguin.rules"))
+    theory_file = tmp_path / "penguin.logag"
+    theory_file.write_text(theory)
+    code, out = run("trace", "--format", "json", "--max-level", "16", str(theory_file))
+    assert code == 0
+    assert out == (REFERENCE / "trace-penguin16.json").read_text(encoding="utf-8")
