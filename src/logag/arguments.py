@@ -514,13 +514,7 @@ def _maximal_consistent_extensions(
 ) -> tuple[tuple[Rule, ...], ...]:
     mono = rules.monotonic()
     if 2 ** len(mono) > limits.subset_cap:
-        # fall back to one greedy maximal extension in label order
-        picked: list[Rule] = []
-        for r in mono:
-            trial = core | {pi(x) for x in picked} | {pi(r)}
-            if is_consistent(trial, limits=limits):
-                picked.append(r)
-        return (tuple(picked),)
+        raise CapacityError("monotonic rule subsets", limits.subset_cap, 2 ** len(mono))
     consistent_sets = []
     for size in range(len(mono) + 1):
         for combo in combinations(mono, size):
@@ -545,8 +539,9 @@ def check_theorem2(
     ``universe`` that theory's universe. Each non-grading universe term the
     graded filter contains must follow classically from the structure's own
     rules together with a maximal set of monotonic rules consistent with
-    them; all maximal sets are checked. Grading terms are skipped: they are
-    never rule images.
+    them; all maximal sets are checked, and :class:`CapacityError` is raised
+    when the monotonic rules have more subsets than ``limits.subset_cap``.
+    Grading terms are skipped: they are never rule images.
     """
     consequences = [
         u

@@ -138,9 +138,21 @@ def _chain_witnesses(q: frozenset[Term]) -> Mapping[Term, tuple[tuple[Term, Grad
 
 
 def grading_chains(p: Term, q: Iterable[Term]) -> frozenset[GradingChain]:
-    """Every grading chain of ``p`` witnessed by a member of ``q``."""
-    q_fs = q if isinstance(q, frozenset) else frozenset(q)
-    return frozenset(chain for _, chain in _chain_witnesses(q_fs).get(p, ()))
+    """Every grading chain of ``p`` witnessed by a member of ``q``.
+
+    Walks each member's grading spine and keeps the depths that bury ``p``,
+    the same chains ``_chain_witnesses(q)[p]`` holds without building the
+    table for every other proposition.
+    """
+    chains = set()
+    for t in q:
+        outer_to_inner: list[GradeValue] = []
+        while isinstance(t, Grade):
+            outer_to_inner.append(t.grade)
+            t = t.inner
+            if t == p:
+                chains.add(GradingChain(p, tuple(reversed(outer_to_inner))))
+    return frozenset(chains)
 
 
 def is_graded(p: Term, q: Iterable[Term]) -> bool:

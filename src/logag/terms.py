@@ -26,6 +26,11 @@ Universal statements range over a declared finite domain and are expanded
 eagerly into their ground instances, so a parsed theory holds ground terms
 only. Term identity everywhere downstream is structural equality of the
 parsed (implication-free) tree.
+
+Individuals and terms are frozen, slotted dataclasses that hash once: the
+structural hash, the same value the generated dataclass hash gives, is
+computed on first use and kept in a slot. Identity is still structural
+equality; the slot takes no part in ``==`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -44,8 +49,37 @@ GradeValue = Fraction
 _KEYWORDS = {"domain", "forall", "in", "theory"}
 
 
-@dataclass(frozen=True)
-class Individual:
+class _HashOnce:
+    """Holds the slot where an individual's or a term's structural hash is kept."""
+
+    __slots__ = ("_hash",)
+
+
+def _hash_once(cls):
+    """Make ``cls`` a frozen, slotted dataclass whose hash is computed once.
+
+    The cached value is the generated dataclass hash, ``hash((field1,
+    field2, ...))``, so frozenset iteration order, and with it SAT branching
+    and every trace, is the same as with the generated hash. ``cls`` must
+    derive from :class:`_HashOnce`, which holds the slot.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
+class Individual(_HashOnce):
     """A constant or a functional individual such as ``penguin(A)``."""
 
     name: str
@@ -57,41 +91,41 @@ class Individual:
         return f"{self.name}({', '.join(a.render() for a in self.args)})"
 
 
-class Term:
+class Term(_HashOnce):
     """Marker base class; concrete terms are the frozen dataclasses below."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_hash_once
 class TrueTerm(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Atom(Term):
     predicate: str
     args: tuple[Individual, ...] = ()
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Not(Term):
     inner: Term
 
 
-@dataclass(frozen=True)
+@_hash_once
 class And(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Or(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Grade(Term):
     """The grading proposition: ``inner`` carries grade ``grade``."""
 
@@ -103,13 +137,13 @@ class Grade(Term):
             raise ValueError(f"grade must be non-negative, got {self.grade}")
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Less(Term):
     a: GradeValue
     b: GradeValue
 
 
-@dataclass(frozen=True)
+@_hash_once
 class GradeEq(Term):
     a: GradeValue
     b: GradeValue

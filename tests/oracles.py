@@ -7,6 +7,7 @@ Slow and simple on purpose.
 
 from itertools import combinations, product
 
+from logag.grading import _chain_witnesses
 from logag.terms import And, Atom, Grade, GradeEq, Less, Not, Or, Term, TrueTerm, render
 
 
@@ -72,3 +73,12 @@ def brute_kernels(q) -> set:
             if not tt_satisfiable(combo):
                 found.append(subset)
     return set(found)
+
+
+def table_chains(p: Term, q) -> frozenset:
+    """Every grading chain of ``p`` in ``q``, read off the witness table.
+
+    The table is built for every proposition buried in ``q``, the way
+    ``grading_chains`` used to answer before it walked only ``p``'s chains.
+    """
+    return frozenset(chain for _, chain in _chain_witnesses(frozenset(q)).get(p, ()))

@@ -6,8 +6,10 @@ import pytest
 from logag import (
     Argument,
     Canon,
+    CapacityError,
     EngineError,
     Grade,
+    Limits,
     ParseError,
     Theorem1Report,
     Theorem2Report,
@@ -289,6 +291,18 @@ def test_theorem2_both_structures(penguin_rules):
     idx = default_indexing(penguin_rules)
     for _, _, report in verify(penguin_rules, idx):
         assert report.passed, [render(u) for u, _ in report.failures]
+
+
+def test_theorem2_refuses_more_monotonic_subsets_than_the_cap(penguin_rules):
+    # four monotonic rules have 16 subsets; checking fewer bases would pass
+    # Theorem 2 on less evidence than its docstring promises
+    with pytest.raises(CapacityError) as err:
+        verify(penguin_rules, default_indexing(penguin_rules), Limits(subset_cap=8))
+    assert (err.value.what, err.value.limit, err.value.actual) == (
+        "monotonic rule subsets",
+        8,
+        16,
+    )
 
 
 def _reference_reports(rules, idx):

@@ -6,7 +6,8 @@ from logag.cli import main
 from logag import parse_theory, translate, parse_rules, default_indexing
 
 DATA = Path(__file__).parent / "data"
-REFERENCE = Path(__file__).parent.parent / "benchmarks" / "reference"
+BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
+REFERENCE = BENCHMARKS / "reference"
 
 
 def run(*argv):
@@ -170,3 +171,10 @@ def test_trace_penguin16_matches_benchmark_reference(tmp_path):
     code, out = run("trace", "--format", "json", "--max-level", "16", str(theory_file))
     assert code == 0
     assert out == (REFERENCE / "trace-penguin16.json").read_text(encoding="utf-8")
+
+
+def test_verify_chain3_matches_benchmark_reference():
+    chain3 = BENCHMARKS / "inputs" / "chain3.rules"
+    code, out = run("args", "verify", "--atom-cap", "256", str(chain3))
+    assert code == 1  # T2-T6 fail Theorem 1 (ROADMAP item 1)
+    assert out == (REFERENCE / "verify-chain3.stdout").read_text(encoding="utf-8")

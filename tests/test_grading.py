@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_term
+from oracles import table_chains
+
 from logag import (
     Canon,
+    Grade,
     GradingChain,
     Kernel,
     NotEmbeddedError,
@@ -22,6 +26,7 @@ from logag import (
     parse_term as T,
     parse_theory,
     relevant_universe,
+    subterms,
     supported,
     survives,
     telescope_n,
@@ -84,6 +89,20 @@ def test_every_present_nesting_yields_a_chain():
         GradingChain(T("f"), (Fraction(2),)),
         GradingChain(T("f"), (Fraction(2), Fraction(3))),
     }
+
+
+def test_grading_chains_match_the_witness_table(rng):
+    for _ in range(60):
+        q = set()
+        for _ in range(rng.randint(1, 6)):
+            t = rng.choice([T("a"), T("~a"), T("a | b")] + [random_term(rng, ["a", "b"], 2, True)])
+            for _ in range(rng.randint(0, 4)):
+                t = Grade(t, Fraction(rng.randint(1, 3)))
+            q.add(t)
+        candidates = {s for t in q for s in subterms(t)} | {T("c"), T("G(c, 1)"), T("~b")}
+        for p in candidates:
+            assert grading_chains(p, q) == table_chains(p, q)
+            assert grading_chains(p, frozenset(q)) == table_chains(p, q)
 
 
 def test_is_graded_needs_immediate_grader():

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from logag import (
     parse_term,
     parse_theory,
     render,
+    subterms,
     theory_to_text,
 )
 from conftest import random_term
@@ -63,6 +65,8 @@ def test_rational_and_decimal_grades():
 def test_negative_grade_rejected():
     with pytest.raises(ParseError):
         parse_term("G(p, -2)")
+    with pytest.raises(ValueError):
+        Grade(atom("p"), Fraction(-2))
 
 
 def test_quantifier_rejected_in_plain_term():
@@ -163,3 +167,55 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_theory("p.\nq &.\n")
     assert err.value.line == 2
+
+
+# -- slotted terms that hash once ---------------------------------------------
+
+
+def _layout_samples(rng):
+    samples = [random_term(rng, ["a", "b", "p"], 4, allow_grades=True) for _ in range(200)]
+    tower = atom("flies", "A")
+    for g in (1, 1, 2, 1):
+        tower = Grade(tower, Fraction(g))
+    samples += [
+        tower,
+        Atom("abnormal", (Individual("penguin", (Individual("A"),)),)),
+        Individual("penguin", (Individual("A"),)),
+        TRUE,
+        Less(Fraction(1), Fraction(2)),
+        GradeEq(Fraction(1, 2), Fraction(1, 2)),
+    ]
+    return samples
+
+
+def test_hash_is_the_hash_of_the_field_tuple(rng):
+    # the value the generated dataclass hash gave, so frozenset order is kept
+    for sample in _layout_samples(rng):
+        parts = [sample] if isinstance(sample, Individual) else list(subterms(sample))
+        for t in parts:
+            first = hash(t)
+            assert first == hash(t) == hash(tuple(getattr(t, f.name) for f in fields(t)))
+
+
+def test_cached_hash_is_invisible_to_eq_and_repr(rng):
+    for t in _layout_samples(rng):
+        if isinstance(t, Individual) or t is TRUE:  # the parser returns TRUE itself
+            continue
+        twin = parse_term(render(t))
+        assert twin is not t
+        before = repr(twin)
+        hash(t)  # only ``t`` has its hash cached now
+        assert twin == t and repr(twin) == repr(t) == before
+        assert hash(twin) == hash(t)
+        assert "_hash" not in repr(t)
+
+
+def test_terms_are_frozen_and_slotted(rng):
+    for t in _layout_samples(rng):
+        for f in fields(t):
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, f.name, getattr(t, f.name))
+        # Python 3.10 and 3.11 refuse a name that is not a field with TypeError
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            t._hash = 0
+        assert not hasattr(t, "__dict__")
