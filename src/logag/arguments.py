@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Iterable, Optional
 
-from .classical import Universe, entails, is_consistent, relevant_universe
+from .classical import Universe, entails_each, is_consistent, relevant_universe
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError, ParseError
 from .grading import Canon, LevelRecord, telescope_n
@@ -496,7 +496,7 @@ def check_theorem1(
     ``record`` is the structure's level in the translated theory's trace.
     """
     targets = sorted(wffs(t), key=render)
-    results = tuple((w, entails(record.base, w, limits=limits)) for w in targets)
+    results = tuple(zip(targets, entails_each(record.base, targets, limits=limits)))
     return Theorem1Report(record.index, results, all(ok for _, ok in results))
 
 
@@ -543,20 +543,16 @@ def check_theorem2(
     when the monotonic rules have more subsets than ``limits.subset_cap``.
     Grading terms are skipped: they are never rule images.
     """
-    consequences = [
-        u
-        for u in universe.terms
-        if not isinstance(u, Grade) and entails(record.base, u, limits=limits)
-    ]
+    candidates = [u for u in universe.terms if not isinstance(u, Grade)]
+    consequences = list(compress(candidates, entails_each(record.base, candidates, limits=limits)))
     structure_base = frozenset(pi(r) for r in rules_of_structure(t, rules))
     failures = []
     bases = []
     for extension in _maximal_consistent_extensions(structure_base, rules, limits):
         base = structure_base | {pi(r) for r in extension}
         bases.append(base)
-        for u in consequences:
-            if not entails(base, u, limits=limits):
-                failures.append((u, base))
+        answers = entails_each(base, consequences, limits=limits)
+        failures.extend((u, base) for u, yes in zip(consequences, answers) if not yes)
     return Theorem2Report(
         record.index,
         len(consequences) * max(len(bases), 1),

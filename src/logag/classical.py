@@ -13,9 +13,12 @@ for exhaustive minimal-unsatisfiable-subset enumeration, run per
 atom-connected component (a minimal inconsistent set can never straddle two
 components with disjoint atoms).
 
-One SAT core serves both: ``_cnf`` encodes terms as clauses and ``_solve``
-(DPLL with unit propagation) decides them for entailment, and also picks
-each seed of the kernel search from its map of blocking clauses.
+One SAT core serves both: ``_Encoder`` turns terms into clauses and
+``_solve`` (DPLL with unit propagation) decides them, and also picks each
+seed of the kernel search from its map of blocking clauses. Each base is
+encoded once: ``entails_each`` adds only ``Not(goal)`` per goal on top of
+the loaded base, and the kernel search encodes each component once, one
+clause block per member, and solves the blocks of each subset it checks.
 """
 
 from __future__ import annotations
@@ -43,35 +46,33 @@ def atom_key(t: Term) -> Optional[str]:
     return None
 
 
-def _cnf(ts: Iterable[Term]) -> tuple[int, int, Optional[list[tuple[int, ...]]]]:
-    """Clauses asserting every term of ``ts``, as literals +v / -v over variables 1..n.
+class _Encoder:
+    """Clauses over one numbering of atoms, as literals +v / -v over variables 1..n.
 
     ``true`` and grade-order atoms fold to constants; atoms are numbered by
     ``atom_key``; each non-constant ``&`` / ``|`` gets a fresh variable
-    defined equivalent to it (Tseitin). Returns the atom count, the variable
-    count and the clauses, which are None when a term folds to false.
+    defined equivalent to it (Tseitin). Built from a loaded base's encoder,
+    it continues that numbering, so a goal adds only its own clauses.
     """
-    atoms: dict[str, int] = {}
-    clauses: list[tuple[int, ...]] = []
-    n = 0
 
-    def neg(s):
-        return (not s) if isinstance(s, bool) else -s
+    def __init__(self, loaded: Optional[_Encoder] = None):
+        self.atoms: dict[str, int] = dict(loaded.atoms) if loaded else {}
+        self.n = loaded.n if loaded else 0
 
-    def conj(a, b):
-        nonlocal n
-        if a is False or b is False:
-            return False
-        if a is True:
-            return b
-        if b is True:
-            return a
-        n += 1
-        clauses.extend(((-n, a), (-n, b), (n, -a, -b)))
-        return n
+    def check_atom_cap(self, limits: Limits) -> None:
+        if len(self.atoms) > limits.atom_cap:
+            raise CapacityError("atom count", limits.atom_cap, len(self.atoms))
 
-    def walk(t: Term):
-        nonlocal n
+    def clauses(self, t: Term) -> Optional[list[tuple[int, ...]]]:
+        """Clauses asserting ``t``, or None when it folds to false."""
+        out: list[tuple[int, ...]] = []
+        s = self._lit(t, out)
+        if isinstance(s, bool):
+            return out if s else None
+        out.append((s,))
+        return out
+
+    def _lit(self, t: Term, out: list[tuple[int, ...]]):
         if isinstance(t, TrueTerm):
             return True
         if isinstance(t, Less):
@@ -80,34 +81,40 @@ def _cnf(ts: Iterable[Term]) -> tuple[int, int, Optional[list[tuple[int, ...]]]]
             return bool(t.a == t.b)
         key = atom_key(t)
         if key is not None:
-            if key not in atoms:
-                n += 1
-                atoms[key] = n
-            return atoms[key]
+            if key not in self.atoms:
+                self.n += 1
+                self.atoms[key] = self.n
+            return self.atoms[key]
         if isinstance(t, Not):
-            return neg(walk(t.inner))
+            return _neg(self._lit(t.inner, out))
         if isinstance(t, And):
-            return conj(walk(t.left), walk(t.right))
+            return self._conj(self._lit(t.left, out), self._lit(t.right, out), out)
         if isinstance(t, Or):
-            return neg(conj(neg(walk(t.left)), neg(walk(t.right))))
+            return _neg(self._conj(_neg(self._lit(t.left, out)), _neg(self._lit(t.right, out)), out))
         raise EngineError(f"cannot interpret {t!r} as a proposition")
 
-    folded_false = False
-    for t in ts:
-        s = walk(t)
-        if s is False:
-            folded_false = True
-        elif s is not True:
-            clauses.append((s,))
-    return len(atoms), n, None if folded_false else clauses
+    def _conj(self, a, b, out: list[tuple[int, ...]]):
+        if a is False or b is False:
+            return False
+        if a is True or b is True:
+            return b if a is True else a
+        self.n += 1
+        out.extend(((-self.n, a), (-self.n, b), (self.n, -a, -b)))
+        return self.n
+
+
+def _neg(s):
+    return (not s) if isinstance(s, bool) else -s
 
 
 def _solve(n: int, clauses: Iterable[tuple[int, ...]]) -> Optional[set[int]]:
     """DPLL with unit propagation over literals +v / -v, 1 <= v <= n.
 
     Branches on the smallest unassigned variable, true first, so the model
-    found is the first in that order. Returns its true variables, or None
-    when the clauses are unsatisfiable.
+    found is the first in that order. A variable in no clause is never
+    branched on (backtracking over it would only repeat the search below
+    it) and is true in the model, as that order sets it. Returns the true
+    variables, or None when the clauses are unsatisfiable.
     """
     true = bytearray(2 * n + 1)  # true[lit]: negative literals index from the end
     occurs: list[list[tuple[int, ...]]] = [[] for _ in range(2 * n + 1)]
@@ -150,10 +157,10 @@ def _solve(n: int, clauses: Iterable[tuple[int, ...]]) -> Optional[set[int]]:
     decisions: list[tuple[int, int]] = []  # (trail length before, variable set true)
     v = 1
     while True:
-        while v <= n and (true[v] or true[-v]):
+        while v <= n and (true[v] or true[-v] or not (occurs[v] or occurs[-v])):
             v += 1
         if v > n:
-            return {u for u in range(1, n + 1) if true[u]}
+            return {u for u in range(1, n + 1) if not true[-u]}
         decisions.append((len(trail), v))
         if propagate([v]):
             continue
@@ -169,10 +176,10 @@ def _solve(n: int, clauses: Iterable[tuple[int, ...]]) -> Optional[set[int]]:
 
 
 def satisfiable(ts: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS) -> bool:
-    n_atoms, n, clauses = _cnf(ts)
-    if n_atoms > limits.atom_cap:
-        raise CapacityError("atom count", limits.atom_cap, n_atoms)
-    return clauses is not None and _solve(n, clauses) is not None
+    enc = _Encoder()
+    blocks = [enc.clauses(t) for t in ts]
+    enc.check_atom_cap(limits)
+    return None not in blocks and _solve(enc.n, [c for b in blocks for c in b]) is not None
 
 
 _entails_cache: dict[tuple[frozenset[Term], Term, int], bool] = {}
@@ -180,16 +187,39 @@ _entails_cache: dict[tuple[frozenset[Term], Term, int], bool] = {}
 
 def entails(base: Iterable[Term], goal: Term, *, limits: Limits = DEFAULT_LIMITS) -> bool:
     """True iff every boolean valuation satisfying all of ``base`` satisfies ``goal``."""
+    return entails_each(base, (goal,), limits=limits)[0]
+
+
+def entails_each(
+    base: Iterable[Term], goals: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS
+) -> list[bool]:
+    """``entails(base, goal)`` for each goal in order, encoding the base once.
+
+    The base is encoded at the first answer not already cached; each goal
+    then adds only the clauses of ``Not(goal)``, numbered on from the
+    base's: the clause list ``satisfiable`` builds for the base's members
+    followed by ``Not(goal)``.
+    """
     base_fs = base if isinstance(base, frozenset) else frozenset(base)
-    key = (base_fs, goal, limits.atom_cap)
-    hit = _entails_cache.get(key)
-    if hit is not None:
-        return hit
-    result = not satisfiable(list(base_fs) + [Not(goal)], limits=limits)
-    if len(_entails_cache) > 1 << 18:
-        _entails_cache.clear()
-    _entails_cache[key] = result
-    return result
+    loaded: Optional[_Encoder] = None
+    answers = []
+    for goal in goals:
+        key = (base_fs, goal, limits.atom_cap)
+        result = _entails_cache.get(key)
+        if result is None:
+            if loaded is None:
+                loaded = _Encoder()
+                blocks = [loaded.clauses(t) for t in base_fs]
+                base_clauses = None if None in blocks else [c for b in blocks for c in b]
+            enc = _Encoder(loaded)
+            negated = enc.clauses(Not(goal))
+            enc.check_atom_cap(limits)
+            result = None in (base_clauses, negated) or _solve(enc.n, base_clauses + negated) is None
+            if len(_entails_cache) > 1 << 18:
+                _entails_cache.clear()
+            _entails_cache[key] = result
+        answers.append(result)
+    return answers
 
 
 def is_consistent(base: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -284,20 +314,10 @@ class Kernel:
         return tuple(sorted(self.members, key=render))
 
 
-def _skeleton_atoms(t: Term) -> frozenset[str]:
-    keys = set()
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        key = atom_key(cur)
-        if key is not None:
-            keys.add(key)
-        elif isinstance(cur, Not):
-            stack.append(cur.inner)
-        elif isinstance(cur, (And, Or)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-    return frozenset(keys)
+def _skeleton_atoms(t: Term) -> Iterable[str]:
+    enc = _Encoder()
+    enc.clauses(t)
+    return enc.atoms
 
 
 def _components(ts: list[Term]) -> list[list[Term]]:
@@ -323,7 +343,7 @@ def _components(ts: list[Term]) -> list[list[Term]]:
 
 
 def _all_minimal_inconsistent(
-    items: list[Term], consistent: Callable[[list[Term]], bool]
+    items: list[Term], consistent: Callable[[list[int]], bool]
 ) -> list[frozenset[Term]]:
     n = len(items)
     clauses: list[tuple[int, ...]] = []
@@ -333,18 +353,16 @@ def _all_minimal_inconsistent(
         if seed is None:
             break
         picked = [i for i in range(n) if i + 1 in seed]
-        if consistent([items[i] for i in picked]):
+        if consistent(picked):
             satisfied = set(picked)
             for i in range(n):
-                if i not in satisfied and consistent([items[j] for j in sorted(satisfied | {i})]):
+                if i not in satisfied and consistent(sorted(satisfied | {i})):
                     satisfied.add(i)
             clauses.append(tuple(i + 1 for i in range(n) if i not in satisfied))
         else:
             core = set(picked)
             for i in sorted(picked):
-                if i in core and len(core) > 1 and not consistent(
-                    [items[j] for j in sorted(core - {i})]
-                ):
+                if i in core and len(core) > 1 and not consistent(sorted(core - {i})):
                     core.remove(i)
             found.append(frozenset(items[i] for i in core))
             clauses.append(tuple(-(i + 1) for i in sorted(core)))
@@ -361,6 +379,8 @@ def bottom_kernels(
     minimality test is plain classical consistency of the subset itself.
     Tautologies are pruned up front (they belong to no minimal inconsistent
     set), as is every atom-connected component that is consistent as a whole.
+    Each component is encoded once, one clause block per member over shared
+    atoms, and every consistency check solves the blocks of its subset.
     """
     q_list = sorted(set(q), key=render)
     missing = [t for t in q_list if t not in universe]
@@ -369,11 +389,17 @@ def bottom_kernels(
     candidates = [t for t in q_list if not entails(frozenset(), t, limits=limits)]
     kernels: list[frozenset[Term]] = []
     for component in _components(candidates):
-        if is_consistent(component, limits=limits):
+        enc = _Encoder()
+        blocks = [enc.clauses(t) for t in component]
+        enc.check_atom_cap(limits)
+
+        def consistent(picked: Iterable[int]) -> bool:
+            subset = [blocks[i] for i in picked]
+            return None not in subset and _solve(enc.n, [c for b in subset for c in b]) is not None
+
+        if consistent(range(len(component))):
             continue
         if len(component) > limits.kernel_cap:
             raise CapacityError("kernel search base", limits.kernel_cap, len(component))
-        kernels.extend(
-            _all_minimal_inconsistent(component, lambda ts: is_consistent(ts, limits=limits))
-        )
+        kernels.extend(_all_minimal_inconsistent(component, consistent))
     return frozenset(Kernel(k) for k in kernels)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Optional
 
 from .classical import (
@@ -37,6 +38,7 @@ from .classical import (
     Universe,
     bottom_kernels,
     entails,
+    entails_each,
     is_consistent,
     mutually_entailing,
     relevant_universe,
@@ -157,8 +159,7 @@ def grading_chains(p: Term, q: Iterable[Term]) -> frozenset[GradingChain]:
 
 def is_graded(p: Term, q: Iterable[Term]) -> bool:
     """True iff some immediate grading of ``p`` is a member of ``q``."""
-    q_fs = q if isinstance(q, frozenset) else frozenset(q)
-    return any(isinstance(t, Grade) and t.inner == p for t in q_fs)
+    return any(isinstance(t, Grade) and t.inner == p for t in q)
 
 
 def fused_grade(p: Term, q: Iterable[Term], canon: Canon) -> GradeValue:
@@ -186,8 +187,8 @@ def depth1_expansion(base: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     inside it. Deeper content stays buried until later steps make its
     grading term a member in its own right.
     """
-    base_fs = base if isinstance(base, frozenset) else frozenset(base)
-    filter_rep = {u for u in ctx.universe.terms if entails(base_fs, u, limits=ctx.limits)}
+    terms = ctx.universe.terms
+    filter_rep = set(compress(terms, entails_each(base, terms, limits=ctx.limits)))
     released = {g.inner for g in filter_rep if isinstance(g, Grade)}
     return frozenset(filter_rep | released)
 
@@ -204,7 +205,8 @@ def survives(p: Term, x: Kernel, q: Iterable[Term], ctx: RunContext, step: int) 
     Grades fuse over the chains no longer than ``step``.
     """
     q_fs = q if isinstance(q, frozenset) else frozenset(q)
-    if not is_graded(p, q_fs):
+    graded = {t.inner for t in q_fs if isinstance(t, Grade)}
+    if p not in graded:
         return True
     canon = Canon(ctx.otimes, ctx.oplus, step)
     p_grade = fused_grade(p, q_fs, canon)
@@ -213,7 +215,7 @@ def survives(p: Term, x: Kernel, q: Iterable[Term], ctx: RunContext, step: int) 
             return True
         if entails(ctx.top, other, limits=ctx.limits):
             continue
-        if not is_graded(other, q_fs):
+        if other not in graded:
             return True
         if fused_grade(other, q_fs, canon) < p_grade:
             return True
@@ -230,7 +232,8 @@ def supported(q: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     followed from a now-evicted proposition) drop out here.
     """
     q_fs = q if isinstance(q, frozenset) else frozenset(q)
-    result = {u for u in ctx.universe.terms if entails(ctx.top, u, limits=ctx.limits)}
+    terms = ctx.universe.terms
+    result = set(compress(terms, entails_each(ctx.top, terms, limits=ctx.limits)))
     witnesses = _chain_witnesses(q_fs)
     pending = sorted((p for p in q_fs if p not in result), key=render)
     changed = True
@@ -375,7 +378,7 @@ def graded_consequences(
     query_list = list(queries)
     trace = telescope_n(theory, canon, query_list, limits)
     base = trace.final_base()
-    return {q: entails(base, q, limits=limits) for q in query_list}
+    return dict(zip(query_list, entails_each(base, query_list, limits=limits)))
 
 
 def find_fixpoint(

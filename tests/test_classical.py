@@ -22,7 +22,7 @@ from logag import (
     relevant_universe,
     render,
 )
-from logag.classical import _solve
+from logag.classical import _entails_cache, _solve, entails_each
 from oracles import brute_kernels, tt_entails, tt_satisfiable
 from conftest import random_term
 
@@ -128,6 +128,53 @@ def test_solve_without_clauses_sets_every_variable_true():
     assert _solve(3, [()]) is None
 
 
+def test_solve_never_branches_on_variables_outside_every_clause():
+    # Variables 1..38 occur in no clause; backtracking over them would
+    # repeat the refutation of 39 and 40 up to 2**38 times.
+    xor_free = [(39, 40), (39, -40), (-39, 40), (-39, -40)]
+    assert _solve(40, xor_free) is None
+    assert _solve(40, xor_free[::3]) == set(range(1, 40))
+
+
+def test_entails_each_matches_truth_tables_and_single_entails(rng):
+    atoms = ["a", "b", "c", "d"]
+    for i in range(150):
+        base = frozenset(term_with_constants(rng, atoms, 3) for _ in range(rng.randint(0, 4)))
+        if i % 5 == 0:
+            base = frozenset()
+        elif i % 5 == 1:
+            base |= {T("2 < 1")}  # the base folds to false and entails everything
+        goals = [term_with_constants(rng, atoms, 3) for _ in range(5)]
+        goals += [T("true"), T("1 < 2"), T("2 < 1"), goals[0]]
+        _entails_cache.clear()
+        for g in rng.sample(goals, 2):  # answers cached before the batch starts
+            entails(base, g)
+        got = entails_each(base, goals)
+        assert got == [tt_entails(base, g) for g in goals]
+        _entails_cache.clear()
+        assert got == [entails(base, g) for g in goals]
+        _entails_cache.clear()
+        assert got == [entails_each(base, [g])[0] for g in goals]
+
+
+def test_entails_each_refuses_at_the_goal_that_passes_the_atom_cap():
+    limits = Limits(atom_cap=4)
+    base = terms("a", "b | c")
+    goals = [T("a"), T("d"), T("e & f"), T("b")]  # base and the third goal: 5 atoms
+    _entails_cache.clear()
+    with pytest.raises(CapacityError) as batch:
+        entails_each(base, goals, limits=limits)
+    batch_answers = dict(_entails_cache)
+    _entails_cache.clear()
+    singles = [entails(base, g, limits=limits) for g in goals[:2]]
+    with pytest.raises(CapacityError) as single:
+        entails(base, goals[2], limits=limits)
+    for err in (batch.value, single.value):
+        assert (err.what, err.limit, err.actual) == ("atom count", 4, 5)
+    assert singles == [True, False]
+    assert batch_answers == dict(_entails_cache) == {(base, g, 4): a for g, a in zip(goals, singles)}
+
+
 def test_entails_matches_truth_table_on_random_bases(rng):
     atoms = ["a", "b", "c", "d", "e", "f"]
     for _ in range(120):
@@ -219,6 +266,27 @@ def test_kernels_match_brute_force_on_random_bases(rng):
         u = relevant_universe(q)
         got = {k.members for k in bottom_kernels(q, u)}
         assert got == brute_kernels(q)
+
+
+def test_kernels_match_brute_force_across_components_with_false_members(rng):
+    groups = (["a", "b"], ["c", "d"], ["e", "f"])
+    for i in range(40):
+        q = {term_with_constants(rng, g, 2) for g in groups for _ in range(rng.randint(1, 3))}
+        if i % 2:
+            q.add(And(Atom(rng.choice("ace")), T("2 < 1")))  # folds to false
+        q = frozenset(q)
+        u = relevant_universe(q)
+        got = {k.members for k in bottom_kernels(q, u)}
+        assert got == brute_kernels(q)
+
+
+def test_kernel_search_checks_component_atoms_before_the_kernel_cap():
+    # One component: 26 members (over kernel_cap 20) and 25 atoms (over atom_cap 24).
+    q = frozenset(T(f"~x{i} | x{i + 1}") for i in range(24)) | terms("x0", "~x24")
+    u = relevant_universe(q)
+    with pytest.raises(CapacityError) as err:
+        bottom_kernels(q, u)
+    assert (err.value.what, err.value.limit, err.value.actual) == ("atom count", 24, 25)
 
 
 def test_kernel_cap_enforced():

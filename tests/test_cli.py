@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from logag.cli import main
@@ -171,6 +174,21 @@ def test_trace_penguin16_matches_benchmark_reference(tmp_path):
     code, out = run("trace", "--format", "json", "--max-level", "16", str(theory_file))
     assert code == 0
     assert out == (REFERENCE / "trace-penguin16.json").read_text(encoding="utf-8")
+
+
+def test_trace_penguin16_does_not_depend_on_the_hash_seed(tmp_path):
+    # Set iteration order, and with it the SAT variable numbering, follows
+    # the hash seed; the answers must not.
+    _, theory = run("args", "translate", str(DATA / "penguin.rules"))
+    theory_file = tmp_path / "penguin.logag"
+    theory_file.write_text(theory)
+    src = str(Path(__file__).parent.parent / "src")
+    argv = [sys.executable, "-m", "logag.cli", "trace", "--format", "json", "--max-level", "16"]
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(argv + [str(theory_file)], env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0
+        assert done.stdout == (REFERENCE / "trace-penguin16.json").read_bytes()
 
 
 def test_verify_chain3_matches_benchmark_reference():
