@@ -9,7 +9,7 @@ sets track the system's argument structures.
 """
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import CapacityError, EngineError, NotEmbeddedError, ParseError, UngradedError
+from .errors import CapacityError, EngineError, ParseError, UngradedError
 from .terms import (
     TRUE,
     And,
@@ -36,7 +36,6 @@ from .classical import (
     Universe,
     atom_key,
     bottom_kernels,
-    embedded_closure,
     entails,
     is_consistent,
     mutually_entailing,
@@ -50,13 +49,11 @@ from .grading import (
     RunContext,
     TelescopeTrace,
     depth1_expansion,
-    embedding_degree,
     find_fixpoint,
     fused_grade,
     graded_consequence,
     graded_consequences,
     grading_chains,
-    is_graded,
     supported,
     survives,
     telescope_n,
@@ -71,14 +68,12 @@ from .arguments import (
     RuleSet,
     Theorem1Report,
     Theorem2Report,
-    Translation,
     chain_term,
     check_theorem1,
     check_theorem2,
     default_indexing,
     enumerate_arguments,
     enumerate_structures,
-    is_complete,
     maximal_structures,
     negate_literal,
     parse_indexing,
@@ -87,8 +82,6 @@ from .arguments import (
     rules_of_structure,
     structure_level,
     translate,
-    translation_parts,
-    validate_structure,
     verify,
     wffs,
 )

@@ -217,19 +217,16 @@ def _apply_rule(rule: Rule, by_root: dict[Term, list[Argument]]) -> Iterable[Arg
         yield Argument(rule.conclusion, tuple(combo), rule.label)
 
 
-def enumerate_arguments(rules: RuleSet, limits: Limits = DEFAULT_LIMITS) -> frozenset[Argument]:
-    """All arguments constructible from the rules, modulo structural identity."""
-    known = _fact_arguments(rules)
+def _saturate(rules: Iterable[Rule], known: set[Argument], limits: Limits) -> frozenset[Argument]:
+    """``known`` plus every argument the rules build from it, to a fixpoint."""
     rounds = 0
     while True:
         rounds += 1
         by_root: dict[Term, list[Argument]] = {}
-        for a in sorted(known, key=_argument_key):
+        for a in known:
             by_root.setdefault(a.root, []).append(a)
         fresh = set()
-        for rule in rules.rules:
-            if rule.kind == FACT:
-                continue
+        for rule in rules:
             for candidate in _apply_rule(rule, by_root):
                 if candidate not in known:
                     fresh.add(candidate)
@@ -240,6 +237,12 @@ def enumerate_arguments(rules: RuleSet, limits: Limits = DEFAULT_LIMITS) -> froz
         if len(known) + len(fresh) > limits.subset_cap:
             raise CapacityError("argument count", limits.subset_cap, len(known) + len(fresh))
         known |= fresh
+
+
+def enumerate_arguments(rules: RuleSet, limits: Limits = DEFAULT_LIMITS) -> tuple[Argument, ...]:
+    """All arguments constructible from the rules, modulo structural identity, smallest first."""
+    non_facts = [r for r in rules.rules if r.kind != FACT]
+    return tuple(sorted(_saturate(non_facts, _fact_arguments(rules), limits), key=_argument_key))
 
 
 @dataclass(frozen=True)
@@ -255,50 +258,22 @@ def wffs(t: ArgumentStructure) -> frozenset[Term]:
     return frozenset(a.root for a in t.arguments)
 
 
-def is_complete(t: ArgumentStructure, w: Term) -> bool:
-    supported_wffs = wffs(t)
-    return w in supported_wffs or negate_literal(w) in supported_wffs
-
-
 def _roots_consistent(args: Iterable[Argument]) -> bool:
     roots = {a.root for a in args}
     return not any(negate_literal(w) in roots for w in roots)
 
 
-def _close_monotonically(rules: RuleSet, seed: set[Argument]) -> frozenset[Argument]:
+def _close_monotonically(rules: RuleSet, seed: set[Argument], limits: Limits) -> frozenset[Argument]:
+    """``seed`` closed under subtrees and monotonic rules.
+
+    A closure of enumerated arguments builds only enumerated arguments, in no
+    more rounds than enumeration took, so the caps it shares with
+    :func:`enumerate_arguments` do not fire here once enumeration passed.
+    """
     closed = set(seed)
     for a in list(closed):
         closed |= a.subtrees()
-    while True:
-        by_root: dict[Term, list[Argument]] = {}
-        for a in sorted(closed, key=_argument_key):
-            by_root.setdefault(a.root, []).append(a)
-        fresh = set()
-        for rule in rules.monotonic():
-            for candidate in _apply_rule(rule, by_root):
-                if candidate not in closed:
-                    fresh.add(candidate)
-        if not fresh:
-            return frozenset(closed)
-        closed |= fresh
-
-
-def validate_structure(rules: RuleSet, t: ArgumentStructure) -> bool:
-    """Independent check of the four defining conditions."""
-    args = t.arguments
-    if not _fact_arguments(rules) <= args:
-        return False
-    for a in args:
-        if not a.subtrees() <= args:
-            return False
-    by_root: dict[Term, list[Argument]] = {}
-    for a in sorted(args, key=_argument_key):
-        by_root.setdefault(a.root, []).append(a)
-    for rule in rules.monotonic():
-        for candidate in _apply_rule(rule, by_root):
-            if candidate not in args:
-                return False
-    return _roots_consistent(args)
+    return _saturate(rules.monotonic(), closed, limits)
 
 
 def enumerate_structures(
@@ -313,13 +288,13 @@ def enumerate_structures(
     """
     all_args = enumerate_arguments(rules, limits)
     nm_labels = {r.label for r in rules.nonmonotonic()}
-    nm_rooted = sorted((a for a in all_args if a.rule_label in nm_labels), key=_argument_key)
+    nm_rooted = [a for a in all_args if a.rule_label in nm_labels]
     if 2 ** len(nm_rooted) > limits.subset_cap:
         raise CapacityError("structure seeds", limits.subset_cap, 2 ** len(nm_rooted))
     found: set[frozenset[Argument]] = set()
     for size in range(len(nm_rooted) + 1):
         for chosen in combinations(nm_rooted, size):
-            closed = _close_monotonically(rules, _fact_arguments(rules) | set(chosen))
+            closed = _close_monotonically(rules, _fact_arguments(rules) | set(chosen), limits)
             if _roots_consistent(closed):
                 found.add(closed)
     structures = [ArgumentStructure(args) for args in found]
@@ -377,9 +352,6 @@ class Indexing:
                 return idx
         raise KeyError(f"subset not indexed: {sorted(subset)}")
 
-    def subsets(self) -> tuple[frozenset[str], ...]:
-        return tuple(labels for labels, _ in self.table)
-
 
 def _check_indexing(table: list[tuple[frozenset[str], int]], nm_labels: frozenset[str]) -> None:
     expected = 2 ** len(nm_labels) - 1
@@ -426,30 +398,6 @@ def parse_indexing(text: str, rules: RuleSet) -> Indexing:
     return Indexing(tuple(table))
 
 
-@dataclass(frozen=True)
-class Translation:
-    monotonic_part: frozenset[Term]
-    nonmonotonic_part: frozenset[Term]
-    indexing: Indexing
-
-
-def translation_parts(rules: RuleSet, idx: Indexing, limits: Limits = DEFAULT_LIMITS) -> Translation:
-    nm_labels = frozenset(r.label for r in rules.nonmonotonic())
-    _check_indexing(list(idx.table), nm_labels)
-    monotonic_part = frozenset(pi(r) for r in rules.rules if r.kind in (FACT, MONOTONIC))
-    if not is_consistent(monotonic_part, limits=limits):
-        raise EngineError("the base facts and monotonic rules are classically inconsistent")
-    chained: set[Term] = set()
-    for subset, depth in idx.table:
-        for r in rules.nonmonotonic():
-            if r.label in subset:
-                chained.add(chain_term(pi(r), depth))
-            else:
-                chained.add(chain_term(pi(r), depth))
-                chained.add(chain_term(Not(pi(r)), depth))
-    return Translation(monotonic_part, frozenset(chained), idx)
-
-
 def translate(
     rules: RuleSet,
     idx: Optional[Indexing] = None,
@@ -458,11 +406,21 @@ def translate(
     """Graded theory whose level-indexed consequences track the structures."""
     if idx is None:
         idx = default_indexing(rules, limits)
-    parts = translation_parts(rules, idx, limits)
+    nm_labels = frozenset(r.label for r in rules.nonmonotonic())
+    _check_indexing(list(idx.table), nm_labels)
+    monotonic_part = frozenset(pi(r) for r in rules.rules if r.kind in (FACT, MONOTONIC))
+    if not is_consistent(monotonic_part, limits=limits):
+        raise EngineError("the base facts and monotonic rules are classically inconsistent")
+    terms = set(monotonic_part)
+    for subset, depth in idx.table:
+        for r in rules.nonmonotonic():
+            terms.add(chain_term(pi(r), depth))
+            if r.label not in subset:
+                terms.add(chain_term(Not(pi(r)), depth))
     return Theory(
         name=f"{rules.name}_graded",
         domains=(),
-        terms=parts.monotonic_part | parts.nonmonotonic_part,
+        terms=frozenset(terms),
     )
 
 

@@ -268,36 +268,6 @@ def relevant_universe(theory: Theory | Iterable[Term], extra: Iterable[Term] = (
 
 
 # ---------------------------------------------------------------------------
-# Embedded closure
-
-
-def embedded_closure(
-    base: Iterable[Term], universe: Universe, *, limits: Limits = DEFAULT_LIMITS
-) -> frozenset[Term]:
-    """Least superset of ``base`` closed under extraction from entailed gradings.
-
-    Whenever a grading term of the universe is entailed by the current set,
-    both the grading term and its inner proposition are added; iterated to a
-    fixpoint, so nested gradings unwind through every depth.
-    """
-    closure = set(base)
-    grade_terms = [t for t in universe.terms if isinstance(t, Grade)]
-    changed = True
-    while changed:
-        changed = False
-        current = frozenset(closure)
-        for g in grade_terms:
-            if g in closure and g.inner in closure:
-                continue
-            if g in closure or entails(current, g, limits=limits):
-                if g not in closure or g.inner not in closure:
-                    closure.add(g)
-                    closure.add(g.inner)
-                    changed = True
-    return frozenset(closure)
-
-
-# ---------------------------------------------------------------------------
 # Kernels
 
 
@@ -306,9 +276,6 @@ class Kernel:
     """A subset-minimal inconsistent subset of a queried base."""
 
     members: frozenset[Term]
-
-    def __contains__(self, t: Term) -> bool:
-        return t in self.members
 
     def sorted_members(self) -> tuple[Term, ...]:
         return tuple(sorted(self.members, key=render))

@@ -30,7 +30,6 @@ from .arguments import (
     translate,
     verify,
     wffs,
-    _argument_key,
 )
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError, ParseError
@@ -90,30 +89,22 @@ def _limits(ns) -> Limits:
     return replace(DEFAULT_LIMITS, atom_cap=ns.atom_cap, depth_cap=ns.depth_cap)
 
 
-def _term_line(ts) -> str:
-    rendered = sorted(render(t) for t in ts)
+def _term_line(rendered: list[str]) -> str:
     return " ; ".join(rendered) if rendered else "(none)"
 
 
-def _print_trace_text(trace, out) -> None:
-    for level in trace.levels:
-        print(f"== level {level.index} ==", file=out)
-        print(f"  base       : {_term_line(level.base)}", file=out)
-        print(f"  -> level {level.index + 1}:", file=out)
-        print(f"  expansion  : {_term_line(level.expansion)}", file=out)
-        kernel_text = (
-            " ; ".join(
-                "{" + ", ".join(render(m) for m in k.sorted_members()) + "}"
-                for k in sorted(
-                    level.kernels, key=lambda k: tuple(render(m) for m in k.sorted_members())
-                )
-            )
-            or "(none)"
-        )
+def _print_trace_text(doc: dict, out) -> None:
+    """The fields of ``trace_to_dict``'s document, one line per set."""
+    for level in doc["levels"]:
+        print(f"== level {level['index']} ==", file=out)
+        print(f"  base       : {_term_line(level['base'])}", file=out)
+        print(f"  -> level {level['index'] + 1}:", file=out)
+        print(f"  expansion  : {_term_line(level['expansion'])}", file=out)
+        kernel_text = _term_line(["{" + ", ".join(k) + "}" for k in level["kernels"]])
         print(f"  kernels    : {kernel_text}", file=out)
-        print(f"  survivors  : {_term_line(level.survivors)}", file=out)
-        print(f"  supported  : {_term_line(level.supported)}", file=out)
-        print(f"  fixpoint   : {'yes' if level.fixpoint_reached else 'no'}", file=out)
+        print(f"  survivors  : {_term_line(level['survivors'])}", file=out)
+        print(f"  supported  : {_term_line(level['supported'])}", file=out)
+        print(f"  fixpoint   : {'yes' if level['fixpoint'] else 'no'}", file=out)
 
 
 def _cmd_check(ns, out) -> int:
@@ -139,11 +130,11 @@ def _cmd_trace(ns, out) -> int:
     theory = parse_theory(_read(ns.theory))
     queries = [parse_term(q) for q in ns.query]
     canon = Canon(ns.otimes, ns.oplus, ns.max_level)
-    trace = telescope_n(theory, canon, queries, _limits(ns))
+    doc = trace_to_dict(telescope_n(theory, canon, queries, _limits(ns)))
     if ns.format == "json":
-        print(json.dumps(trace_to_dict(trace), indent=2), file=out)
+        print(json.dumps(doc, indent=2), file=out)
     else:
-        _print_trace_text(trace, out)
+        _print_trace_text(doc, out)
     return EXIT_OK
 
 
@@ -157,7 +148,7 @@ def _cmd_args(ns, out) -> int:
     )
 
     if ns.action == "enumerate":
-        args = sorted(enumerate_arguments(rules, limits), key=_argument_key)
+        args = enumerate_arguments(rules, limits)
 
         def shape(a, depth=0):
             lead = "  " * depth
@@ -175,7 +166,7 @@ def _cmd_args(ns, out) -> int:
         return EXIT_OK
 
     if ns.action == "structures":
-        args = sorted(enumerate_arguments(rules, limits), key=_argument_key)
+        args = enumerate_arguments(rules, limits)
         label_of = {a: f"p{i}" for i, a in enumerate(args, start=1)}
         structures = enumerate_structures(rules, limits)
         maximal = maximal_structures(structures)
@@ -183,7 +174,7 @@ def _cmd_args(ns, out) -> int:
             names = ", ".join(label_of[a] for a in s.sorted_arguments())
             flag = " (maximal)" if s in maximal else ""
             print(f"T{i}{flag}: {{{names}}}", file=out)
-            print(f"  wffs: {_term_line(wffs(s))}", file=out)
+            print(f"  wffs: {_term_line(sorted(render(w) for w in wffs(s)))}", file=out)
         print(f"total: {len(structures)} structures", file=out)
         return EXIT_OK
 

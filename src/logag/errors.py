@@ -30,7 +30,3 @@ class CapacityError(EngineError):
 
 class UngradedError(EngineError):
     """A fused grade was requested for a term with no usable grading chain."""
-
-
-class NotEmbeddedError(EngineError):
-    """An embedding degree was requested for a term not embedded in the set."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .classical import (
     Kernel,
@@ -44,7 +44,7 @@ from .classical import (
     relevant_universe,
 )
 from .config import DEFAULT_LIMITS, Limits
-from .errors import CapacityError, NotEmbeddedError, UngradedError
+from .errors import CapacityError, UngradedError
 from .terms import Grade, GradeValue, Not, Term, Theory, render
 
 OTIMES = {
@@ -98,53 +98,29 @@ class RunContext:
 
 
 # ---------------------------------------------------------------------------
-# Embedding degrees and grading chains
+# Grading chains
 
 
-def embedding_degree(p: Term, q: Iterable[Term]) -> int:
-    """Minimal number of grading layers between ``p`` and a member of ``q``."""
-    degrees: dict[Term, int] = {t: 0 for t in q}
-    changed = True
-    while changed:
-        changed = False
-        for t, d in list(degrees.items()):
-            if isinstance(t, Grade):
-                nd = d + 1
-                if degrees.get(t.inner, nd + 1) > nd:
-                    degrees[t.inner] = nd
-                    changed = True
-    if p not in degrees:
-        raise NotEmbeddedError(f"{render(p)} is not embedded in the set")
-    return degrees[p]
-
-
-def _chain_witnesses(q: frozenset[Term]) -> Mapping[Term, tuple[tuple[Term, GradingChain], ...]]:
+def _chain_witnesses(q: frozenset[Term]) -> dict[Term, set[Term]]:
     """For each proposition, the grading-term members of ``q`` that bury it.
 
-    Walking the grading spine of a member G(G(f,2),3) yields a chain for
-    each stripping depth: ``(3,)`` grading ``G(f,2)`` and ``(2, 3)`` grading
-    ``f``. The witness (the member term itself) is kept alongside the chain
-    because support needs to test entailment of the chain's outermost
-    grading proposition.
+    Walking the grading spine of a member G(G(f,2),3) buries ``G(f,2)`` and
+    ``f``. Support needs the member itself: it tests entailment of the
+    chain's outermost grading proposition.
     """
-    table: dict[Term, list[tuple[Term, GradingChain]]] = {}
+    table: dict[Term, set[Term]] = {}
     for t in q:
-        outer_to_inner: list[GradeValue] = []
         cursor = t
         while isinstance(cursor, Grade):
-            outer_to_inner.append(cursor.grade)
             cursor = cursor.inner
-            chain = GradingChain(cursor, tuple(reversed(outer_to_inner)))
-            table.setdefault(cursor, []).append((t, chain))
-    return {k: tuple(v) for k, v in table.items()}
+            table.setdefault(cursor, set()).add(t)
+    return table
 
 
 def grading_chains(p: Term, q: Iterable[Term]) -> frozenset[GradingChain]:
     """Every grading chain of ``p`` witnessed by a member of ``q``.
 
-    Walks each member's grading spine and keeps the depths that bury ``p``,
-    the same chains ``_chain_witnesses(q)[p]`` holds without building the
-    table for every other proposition.
+    Walks each member's grading spine and keeps the depths that bury ``p``.
     """
     chains = set()
     for t in q:
@@ -155,11 +131,6 @@ def grading_chains(p: Term, q: Iterable[Term]) -> frozenset[GradingChain]:
             if t == p:
                 chains.add(GradingChain(p, tuple(reversed(outer_to_inner))))
     return frozenset(chains)
-
-
-def is_graded(p: Term, q: Iterable[Term]) -> bool:
-    """True iff some immediate grading of ``p`` is a member of ``q``."""
-    return any(isinstance(t, Grade) and t.inner == p for t in q)
 
 
 def fused_grade(p: Term, q: Iterable[Term], canon: Canon) -> GradeValue:
@@ -242,7 +213,7 @@ def supported(q: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
         snapshot = frozenset(result)
         still_pending = []
         for p in pending:
-            tops = {w for w, _ in witnesses.get(p, ())}
+            tops = witnesses.get(p, ())
             if any(w in snapshot or entails(snapshot, w, limits=ctx.limits) for w in tops):
                 result.add(p)
                 changed = True

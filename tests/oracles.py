@@ -1,13 +1,15 @@
 """Independent reference implementations used to cross-check the engine.
 
 These deliberately avoid the engine's code paths: entailment is exhaustive
-truth-table evaluation, kernel enumeration is brute-force subset search.
-Slow and simple on purpose.
+truth-table evaluation, kernel enumeration is brute-force subset search,
+grading chains are peeled layer by layer, and argument structures are
+checked against their four defining conditions one by one. Slow and simple
+on purpose.
 """
 
 from itertools import combinations, product
 
-from logag.grading import _chain_witnesses
+from logag.arguments import Argument, RuleSet, parse_rules
 from logag.terms import And, Atom, Grade, GradeEq, Less, Not, Or, Term, TrueTerm, render
 
 
@@ -75,10 +77,62 @@ def brute_kernels(q) -> set:
     return set(found)
 
 
-def table_chains(p: Term, q) -> frozenset:
-    """Every grading chain of ``p`` in ``q``, read off the witness table.
+def peeled_chains(p: Term, q) -> frozenset:
+    """Every grading chain of ``p`` in ``q`` as ``(p, grades innermost first)``.
 
-    The table is built for every proposition buried in ``q``, the way
-    ``grading_chains`` used to answer before it walked only ``p``'s chains.
+    Peels one ``G`` layer off every member at a time, all members together,
+    and keeps the grades peeled on each way down that reaches ``p``.
     """
-    return frozenset(chain for _, chain in _chain_witnesses(frozenset(q)).get(p, ()))
+    found = set()
+    layer = [(t, ()) for t in q]
+    while layer:
+        peeled = [(t.inner, (t.grade,) + grades) for t, grades in layer if isinstance(t, Grade)]
+        found.update((p, grades) for t, grades in peeled if t == p)
+        layer = peeled
+    return frozenset(found)
+
+
+def validate_structure(rules: RuleSet, args: frozenset) -> bool:
+    """Whether ``args`` meets the four defining conditions of a structure.
+
+    It holds every base fact, every subtree of its arguments and every
+    argument a monotonic rule builds from its arguments, and it never
+    supports both a literal and its negation.
+    """
+    if any(Argument(r.conclusion) not in args for r in rules.facts()):
+        return False
+    for a in args:
+        if any(c not in args for c in a.children):
+            return False
+    for rule in rules.monotonic():
+        pools = [[a for a in args if a.root == w] for w in rule.premises]
+        for combo in product(*pools):
+            if all(rule.conclusion not in c.nodes() for c in combo):
+                if Argument(rule.conclusion, combo, rule.label) not in args:
+                    return False
+    roots = {a.root for a in args}
+    return not any(Not(w) in roots for w in roots)
+
+
+def random_rule_system(rng, name="random"):
+    """A seeded rule system: 1-2 facts, 1-3 defaults, 0-2 monotonic rules.
+
+    Literals range over at most four atoms and their negations; facts may
+    also be ``true``. Premises are mostly drawn from the facts and the
+    earlier conclusions, so that rules fire and chain.
+    """
+    atoms = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+
+    def literal():
+        return rng.choice(["", "~"]) + rng.choice(atoms)
+
+    pool = [rng.choice(["true", literal()]) for _ in range(rng.randint(1, 2))]
+    lines = [f"f{i}: {w}." for i, w in enumerate(pool)]
+    arrows = ["=>"] * rng.randint(1, 3) + ["->"] * rng.randint(0, 2)
+    for i, arrow in enumerate(arrows):
+        premises = [rng.choice(pool) if rng.random() < 0.8 else literal() for _ in range(rng.randint(1, 2))]
+        conclusion = literal()
+        pool.append(conclusion)
+        label = "d" if arrow == "=>" else "m"
+        lines.append(f"{label}{i}: {', '.join(premises)} {arrow} {conclusion}.")
+    return parse_rules("\n".join(lines) + "\n", name)

@@ -14,7 +14,6 @@ from logag import (
     Or,
     atom_key,
     bottom_kernels,
-    embedded_closure,
     entails,
     is_consistent,
     parse_term as T,
@@ -220,29 +219,6 @@ def test_universe_contains_boolean_and_grading_subterms(penguin_brother):
 def test_universe_of_empty_theory_is_extra_closure():
     u = relevant_universe([], [T("a & b")])
     assert set(u.terms) == {T("a & b"), T("a"), T("b")}
-
-
-# -- embedded closure --------------------------------------------------------
-
-
-def test_embedded_closure_unwinds_nesting():
-    th = terms("G(G(f, 2), 3)")
-    u = relevant_universe(th)
-    assert embedded_closure(th, u) == terms("G(G(f, 2), 3)", "G(f, 2)", "f")
-
-
-def test_embedded_closure_without_gradings_is_identity():
-    th = terms("p")
-    u = relevant_universe(th)
-    assert embedded_closure(th, u) == th
-
-
-def test_embedded_closure_uses_entailment():
-    th = terms("~q | G(p, 2)", "q")
-    u = relevant_universe(th)
-    closure = embedded_closure(th, u)
-    assert T("G(p, 2)") in closure
-    assert T("p") in closure
 
 
 # -- kernels -----------------------------------------------------------------

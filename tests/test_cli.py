@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -111,6 +113,18 @@ def test_args_structures_lists_two():
     assert "~flies(A)" in out
 
 
+def test_args_structures_numbers_arguments_smallest_first():
+    code, out = run("args", "structures", str(DATA / "penguin.rules"))
+    assert code == 0
+    assert out.splitlines() == [
+        "T1: {p1, p2, p3, p4}",
+        "  wffs: abnormal(bird(A)) ; bird(A) ; penguin(A) ; true",
+        "T2 (maximal): {p1, p2, p3, p4, p6, p7}",
+        "  wffs: abnormal(bird(A)) ; bird(A) ; penguin(A) ; true ; ~abnormal(penguin(A)) ; ~flies(A)",
+        "total: 2 structures",
+    ]
+
+
 def test_args_translate_output_reparses_to_translation(tmp_path):
     code, out = run("args", "translate", str(DATA / "penguin.rules"))
     assert code == 0
@@ -196,3 +210,60 @@ def test_verify_chain3_matches_benchmark_reference():
     code, out = run("args", "verify", "--atom-cap", "256", str(chain3))
     assert code == 1  # T2-T6 fail Theorem 1 (ROADMAP item 1)
     assert out == (REFERENCE / "verify-chain3.stdout").read_text(encoding="utf-8")
+
+
+def test_trace_penguin16_text_matches_the_json_reference(tmp_path):
+    # The text trace spelled out: per level a header, then each set of the
+    # JSON document as its rendered terms joined by " ; " ("(none)" when
+    # empty), each kernel in braces with its members joined by ", ", and the
+    # fixpoint flag as yes/no.
+    def joined(items):
+        return " ; ".join(items) if items else "(none)"
+
+    doc = json.loads((REFERENCE / "trace-penguin16.json").read_text(encoding="utf-8"))
+    expected = []
+    for level in doc["levels"]:
+        expected += [
+            f"== level {level['index']} ==",
+            f"  base       : {joined(level['base'])}",
+            f"  -> level {level['index'] + 1}:",
+            f"  expansion  : {joined(level['expansion'])}",
+            f"  kernels    : {joined(['{' + ', '.join(k) + '}' for k in level['kernels']])}",
+            f"  survivors  : {joined(level['survivors'])}",
+            f"  supported  : {joined(level['supported'])}",
+            f"  fixpoint   : {'yes' if level['fixpoint'] else 'no'}",
+        ]
+    _, theory = run("args", "translate", str(DATA / "penguin.rules"))
+    theory_file = tmp_path / "penguin.logag"
+    theory_file.write_text(theory)
+    code, out = run("trace", "--format", "text", "--max-level", "16", str(theory_file))
+    assert code == 0
+    assert out == "\n".join(expected) + "\n"
+
+
+def test_verify_penguin_r9_pins_the_known_theorem1_failure():
+    # Known defect (ROADMAP item 1(b)): with a third default whose premise is
+    # `true`, T2 and T4 miss consequences their structures support. This pins
+    # today's verdict, recorded in benchmarks/NOTES.md, until it is fixed.
+    code, out = run("args", "verify", "--atom-cap", "256", str(DATA / "penguin_r9.rules"))
+    assert code == 1
+    assert out.splitlines() == [
+        "T1 (level 0): supported-formulas check PASS, classical-bound check PASS",
+        "T2 (level 3): supported-formulas check FAIL, classical-bound check PASS",
+        "  missing consequence: swims(A)",
+        "T3 (level 1): supported-formulas check PASS, classical-bound check PASS",
+        "T4 (level 5): supported-formulas check FAIL, classical-bound check PASS",
+        "  missing consequence: ~abnormal(penguin(A))",
+        "  missing consequence: ~flies(A)",
+    ]
+
+
+def test_every_traced_bench_name_is_a_logag_callable():
+    # The traced bench run wraps each (module, name) in TARGETS by getattr;
+    # a deleted or renamed function must fail here, not only in the bench.
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCHMARKS / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, name, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(f"logag.{module}"), name, None)), (module, name)

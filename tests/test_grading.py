@@ -3,25 +3,22 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_term
-from oracles import table_chains
+from oracles import peeled_chains
 
 from logag import (
     Canon,
     Grade,
     GradingChain,
     Kernel,
-    NotEmbeddedError,
     RunContext,
     UngradedError,
     depth1_expansion,
-    embedding_degree,
     entails,
     find_fixpoint,
     fused_grade,
     graded_consequence,
     graded_consequences,
     grading_chains,
-    is_graded,
     mutually_entailing,
     parse_term as T,
     parse_theory,
@@ -44,29 +41,6 @@ MEAN_MAX = lambda n: Canon("mean", "max", n)
 
 def context(theory, otimes="mean", oplus="max", queries=()):
     return RunContext(theory.terms, relevant_universe(theory, queries), otimes, oplus)
-
-
-# -- embedding degrees -------------------------------------------------------
-
-
-def test_degree_zero_for_members():
-    assert embedding_degree(T("p"), terms("p", "G(q, 1)")) == 0
-
-
-def test_degree_counts_stripped_layers():
-    q = terms("G(G(f, 2), 3)")
-    assert embedding_degree(T("G(f, 2)"), q) == 1
-    assert embedding_degree(T("f"), q) == 2
-
-
-def test_degree_takes_minimum_over_graders():
-    q = terms("G(p, 2)", "G(G(p, 3), 4)")
-    assert embedding_degree(T("p"), q) == 1
-
-
-def test_degree_requires_embedding():
-    with pytest.raises(NotEmbeddedError):
-        embedding_degree(T("z"), terms("p"))
 
 
 # -- chains and fusion -------------------------------------------------------
@@ -101,14 +75,9 @@ def test_grading_chains_match_the_witness_table(rng):
             q.add(t)
         candidates = {s for t in q for s in subterms(t)} | {T("c"), T("G(c, 1)"), T("~b")}
         for p in candidates:
-            assert grading_chains(p, q) == table_chains(p, q)
-            assert grading_chains(p, frozenset(q)) == table_chains(p, q)
-
-
-def test_is_graded_needs_immediate_grader():
-    assert is_graded(T("G(f, 2)"), terms("G(G(f, 2), 3)"))
-    assert not is_graded(T("f"), terms("G(G(f, 2), 3)"))
-    assert is_graded(T("f"), terms("G(f, 2)"))
+            expected = peeled_chains(p, q)
+            assert {(c.target, c.grades) for c in grading_chains(p, q)} == expected
+            assert {(c.target, c.grades) for c in grading_chains(p, frozenset(q))} == expected
 
 
 def test_fused_grade_mean_max():
@@ -236,6 +205,13 @@ def test_supported_set_is_top_closure_plus_graded_members(level2_scene):
     top_part = {u for u in ctx.universe.terms if entails(ctx.top, u)}
     chain_part = got - top_part
     assert all(grading_chains(p, survivors) for p in chain_part)
+
+
+def test_support_reaches_through_every_layer_of_a_member():
+    # f's only witness buries it two layers deep, and the layer between is
+    # not in the set.
+    theory = parse_theory("theory deep.\nG(G(f, 2), 3).\n")
+    assert T("f") in supported(terms("G(G(f, 2), 3)", "f"), context(theory))
 
 
 # -- telescoping -------------------------------------------------------------
