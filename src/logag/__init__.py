@@ -34,7 +34,6 @@ from .terms import (
 from .classical import (
     Kernel,
     Universe,
-    atom_key,
     bottom_kernels,
     entails,
     is_consistent,

@@ -32,10 +32,10 @@ from functools import reduce
 from itertools import combinations, compress, product
 from typing import Iterable, Optional
 
-from .classical import Universe, entails_each, is_consistent, relevant_universe
+from .classical import entails_each, is_consistent
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError, ParseError
-from .grading import Canon, LevelRecord, telescope_n
+from .grading import Canon, LevelRecord, RunContext, telescope_n
 from .terms import (
     And,
     Atom,
@@ -95,12 +95,6 @@ class RuleSet:
         labels = [r.label for r in self.rules]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate rule label")
-
-    def by_label(self, label: str) -> Rule:
-        for r in self.rules:
-            if r.label == label:
-                return r
-        raise KeyError(label)
 
     def facts(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.kind == FACT)
@@ -444,17 +438,14 @@ class Theorem1Report:
     passed: bool
 
 
-def check_theorem1(
-    t: ArgumentStructure,
-    record: LevelRecord,
-    limits: Limits = DEFAULT_LIMITS,
-) -> Theorem1Report:
+def check_theorem1(t: ArgumentStructure, record: LevelRecord, ctx: RunContext) -> Theorem1Report:
     """Every supported formula of the structure holds at its level.
 
-    ``record`` is the structure's level in the translated theory's trace.
+    ``record`` is the structure's level in the translated theory's trace,
+    and ``ctx`` that trace's context.
     """
     targets = sorted(wffs(t), key=render)
-    results = tuple(zip(targets, entails_each(record.base, targets, limits=limits)))
+    results = tuple(zip(targets, entails_each(record.base, targets, limits=ctx.limits, memo=ctx.memo)))
     return Theorem1Report(record.index, results, all(ok for _, ok in results))
 
 
@@ -485,31 +476,30 @@ def _maximal_consistent_extensions(
 
 
 def check_theorem2(
-    rules: RuleSet,
-    t: ArgumentStructure,
-    record: LevelRecord,
-    universe: Universe,
-    limits: Limits = DEFAULT_LIMITS,
+    rules: RuleSet, t: ArgumentStructure, record: LevelRecord, ctx: RunContext
 ) -> Theorem2Report:
     """Every graded consequence at the structure's level is classically forced.
 
     ``record`` is the structure's level in the translated theory's trace and
-    ``universe`` that theory's universe. Each non-grading universe term the
-    graded filter contains must follow classically from the structure's own
-    rules together with a maximal set of monotonic rules consistent with
-    them; all maximal sets are checked, and :class:`CapacityError` is raised
-    when the monotonic rules have more subsets than ``limits.subset_cap``.
-    Grading terms are skipped: they are never rule images.
+    ``ctx`` that trace's context, whose universe is the theory's. Each
+    non-grading universe term the graded filter contains must follow
+    classically from the structure's own rules together with a maximal set
+    of monotonic rules consistent with them; all maximal sets are checked,
+    and :class:`CapacityError` is raised when the monotonic rules have more
+    subsets than ``ctx.limits.subset_cap``. Grading terms are skipped: they
+    are never rule images.
     """
-    candidates = [u for u in universe.terms if not isinstance(u, Grade)]
-    consequences = list(compress(candidates, entails_each(record.base, candidates, limits=limits)))
+    limits, memo = ctx.limits, ctx.memo
+    candidates = [u for u in ctx.universe.terms if not isinstance(u, Grade)]
+    in_filter = entails_each(record.base, candidates, limits=limits, memo=memo)
+    consequences = list(compress(candidates, in_filter))
     structure_base = frozenset(pi(r) for r in rules_of_structure(t, rules))
     failures = []
     bases = []
     for extension in _maximal_consistent_extensions(structure_base, rules, limits):
         base = structure_base | {pi(r) for r in extension}
         bases.append(base)
-        answers = entails_each(base, consequences, limits=limits)
+        answers = entails_each(base, consequences, limits=limits, memo=memo)
         failures.extend((u, base) for u, yes in zip(consequences, answers) if not yes)
     return Theorem2Report(
         record.index,
@@ -537,12 +527,11 @@ def verify(
     levels = [structure_level(s, rules, idx) for s in structures]
     theory = translate(rules, idx, limits)
     trace = telescope_n(theory, Canon("sum", "max", max(levels)), (), limits)
-    universe = relevant_universe(theory)
     return tuple(
         (
             s,
-            check_theorem1(s, trace.levels[level], limits),
-            check_theorem2(rules, s, trace.levels[level], universe, limits),
+            check_theorem1(s, trace.levels[level], trace.context),
+            check_theorem2(rules, s, trace.levels[level], trace.context),
         )
         for s, level in zip(structures, levels)
     )

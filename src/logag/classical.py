@@ -19,6 +19,11 @@ seed of the kernel search from its map of blocking clauses. Each base is
 encoded once: ``entails_each`` adds only ``Not(goal)`` per goal on top of
 the loaded base, and the kernel search encodes each component once, one
 clause block per member, and solves the blocks of each subset it checks.
+
+Nothing here keeps state between calls. A caller that asks the same
+question again passes a ``memo`` dict, keyed ``(base, goal)``, to the
+entailment functions; one telescoping run owns one (``RunContext.memo``),
+and it goes when the run's trace goes. A memo serves one set of limits.
 """
 
 from __future__ import annotations
@@ -35,28 +40,18 @@ from .terms import Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueT
 # Boolean skeletons
 
 
-def atom_key(t: Term) -> Optional[str]:
-    """Canonical key of a term treated atomically, or None for non-atoms.
-
-    Predicate atoms and whole grading terms are atoms; grade-order terms are
-    never atoms (they pre-evaluate to constants).
-    """
-    if isinstance(t, (Atom, Grade)):
-        return render(t)
-    return None
-
-
 class _Encoder:
     """Clauses over one numbering of atoms, as literals +v / -v over variables 1..n.
 
-    ``true`` and grade-order atoms fold to constants; atoms are numbered by
-    ``atom_key``; each non-constant ``&`` / ``|`` gets a fresh variable
+    ``true`` and grade-order atoms fold to constants; predicate atoms and
+    whole grading terms are atoms, numbered by the term itself in order of
+    first occurrence; each non-constant ``&`` / ``|`` gets a fresh variable
     defined equivalent to it (Tseitin). Built from a loaded base's encoder,
     it continues that numbering, so a goal adds only its own clauses.
     """
 
     def __init__(self, loaded: Optional[_Encoder] = None):
-        self.atoms: dict[str, int] = dict(loaded.atoms) if loaded else {}
+        self.atoms: dict[Term, int] = dict(loaded.atoms) if loaded else {}
         self.n = loaded.n if loaded else 0
 
     def check_atom_cap(self, limits: Limits) -> None:
@@ -79,12 +74,11 @@ class _Encoder:
             return bool(t.a < t.b)
         if isinstance(t, GradeEq):
             return bool(t.a == t.b)
-        key = atom_key(t)
-        if key is not None:
-            if key not in self.atoms:
+        if isinstance(t, (Atom, Grade)):
+            if t not in self.atoms:
                 self.n += 1
-                self.atoms[key] = self.n
-            return self.atoms[key]
+                self.atoms[t] = self.n
+            return self.atoms[t]
         if isinstance(t, Not):
             return _neg(self._lit(t.inner, out))
         if isinstance(t, And):
@@ -182,30 +176,33 @@ def satisfiable(ts: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS) -> bool:
     return None not in blocks and _solve(enc.n, [c for b in blocks for c in b]) is not None
 
 
-_entails_cache: dict[tuple[frozenset[Term], Term, int], bool] = {}
-
-
-def entails(base: Iterable[Term], goal: Term, *, limits: Limits = DEFAULT_LIMITS) -> bool:
+def entails(
+    base: Iterable[Term], goal: Term, *, limits: Limits = DEFAULT_LIMITS, memo: Optional[dict] = None
+) -> bool:
     """True iff every boolean valuation satisfying all of ``base`` satisfies ``goal``."""
-    return entails_each(base, (goal,), limits=limits)[0]
+    return entails_each(base, (goal,), limits=limits, memo=memo)[0]
 
 
 def entails_each(
-    base: Iterable[Term], goals: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS
+    base: Iterable[Term],
+    goals: Iterable[Term],
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+    memo: Optional[dict] = None,
 ) -> list[bool]:
     """``entails(base, goal)`` for each goal in order, encoding the base once.
 
-    The base is encoded at the first answer not already cached; each goal
-    then adds only the clauses of ``Not(goal)``, numbered on from the
+    The base is encoded at the first answer not already in ``memo``; each
+    goal then adds only the clauses of ``Not(goal)``, numbered on from the
     base's: the clause list ``satisfiable`` builds for the base's members
-    followed by ``Not(goal)``.
+    followed by ``Not(goal)``. Every answer found is stored in ``memo``.
     """
     base_fs = base if isinstance(base, frozenset) else frozenset(base)
+    memo = {} if memo is None else memo
     loaded: Optional[_Encoder] = None
     answers = []
     for goal in goals:
-        key = (base_fs, goal, limits.atom_cap)
-        result = _entails_cache.get(key)
+        result = memo.get((base_fs, goal))
         if result is None:
             if loaded is None:
                 loaded = _Encoder()
@@ -215,9 +212,7 @@ def entails_each(
             negated = enc.clauses(Not(goal))
             enc.check_atom_cap(limits)
             result = None in (base_clauses, negated) or _solve(enc.n, base_clauses + negated) is None
-            if len(_entails_cache) > 1 << 18:
-                _entails_cache.clear()
-            _entails_cache[key] = result
+            memo[base_fs, goal] = result
         answers.append(result)
     return answers
 
@@ -227,11 +222,13 @@ def is_consistent(base: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS) -> b
     return satisfiable(base, limits=limits)
 
 
-def mutually_entailing(a: Iterable[Term], b: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS) -> bool:
+def mutually_entailing(
+    a: Iterable[Term], b: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS, memo: Optional[dict] = None
+) -> bool:
     """True iff the two bases generate the same filter."""
     a_fs, b_fs = frozenset(a), frozenset(b)
-    return all(entails(b_fs, t, limits=limits) for t in a_fs) and all(
-        entails(a_fs, t, limits=limits) for t in b_fs
+    return all(entails(b_fs, t, limits=limits, memo=memo) for t in a_fs) and all(
+        entails(a_fs, t, limits=limits, memo=memo) for t in b_fs
     )
 
 
@@ -281,7 +278,7 @@ class Kernel:
         return tuple(sorted(self.members, key=render))
 
 
-def _skeleton_atoms(t: Term) -> Iterable[str]:
+def _skeleton_atoms(t: Term) -> Iterable[Term]:
     enc = _Encoder()
     enc.clauses(t)
     return enc.atoms
@@ -296,7 +293,7 @@ def _components(ts: list[Term]) -> list[list[Term]]:
             i = parent[i]
         return i
 
-    by_atom: dict[str, int] = {}
+    by_atom: dict[Term, int] = {}
     for i, t in enumerate(ts):
         for key in _skeleton_atoms(t):
             j = by_atom.setdefault(key, i)
@@ -337,7 +334,7 @@ def _all_minimal_inconsistent(
 
 
 def bottom_kernels(
-    q: Iterable[Term], universe: Universe, *, limits: Limits = DEFAULT_LIMITS
+    q: Iterable[Term], universe: Universe, *, limits: Limits = DEFAULT_LIMITS, memo: Optional[dict] = None
 ) -> frozenset[Kernel]:
     """All subset-minimal inconsistent subsets of ``q``.
 
@@ -345,7 +342,8 @@ def bottom_kernels(
     extracted propositions should be visible to conflict detection — so the
     minimality test is plain classical consistency of the subset itself.
     Tautologies are pruned up front (they belong to no minimal inconsistent
-    set), as is every atom-connected component that is consistent as a whole.
+    set, and ``memo`` answers the tautology checks it has seen), as is every
+    atom-connected component that is consistent as a whole.
     Each component is encoded once, one clause block per member over shared
     atoms, and every consistency check solves the blocks of its subset.
     """
@@ -353,7 +351,7 @@ def bottom_kernels(
     missing = [t for t in q_list if t not in universe]
     if missing:
         raise EngineError(f"kernel query term outside universe: {render(missing[0])}")
-    candidates = [t for t in q_list if not entails(frozenset(), t, limits=limits)]
+    candidates = [t for t in q_list if not entails(frozenset(), t, limits=limits, memo=memo)]
     kernels: list[frozenset[Term]] = []
     for component in _components(candidates):
         enc = _Encoder()

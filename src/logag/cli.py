@@ -141,12 +141,6 @@ def _cmd_trace(ns, out) -> int:
 def _cmd_args(ns, out) -> int:
     rules = parse_rules(_read(ns.rules))
     limits = _limits(ns)
-    idx = (
-        parse_indexing(_read(ns.indexing), rules)
-        if ns.indexing
-        else default_indexing(rules, limits)
-    )
-
     if ns.action == "enumerate":
         args = enumerate_arguments(rules, limits)
 
@@ -178,6 +172,8 @@ def _cmd_args(ns, out) -> int:
         print(f"total: {len(structures)} structures", file=out)
         return EXIT_OK
 
+    # Built only for the actions that use it: it caps the defaults at 12.
+    idx = parse_indexing(_read(ns.indexing), rules) if ns.indexing else default_indexing(rules, limits)
     if ns.action == "translate":
         theory = translate(rules, idx, limits)
         out.write(theory_to_text(theory))

@@ -28,7 +28,7 @@ bases generating the same filter telescope identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Optional
@@ -87,7 +87,8 @@ class RunContext:
 
     The step index is not part of it: each step receives its own. The grade
     order is the numeric order on exact rationals, the single total order
-    the grade sort carries here.
+    the grade sort carries here. ``memo`` holds every entailment answer the
+    run has found, keyed ``(base, goal)``; it lives as long as the context.
     """
 
     top: frozenset[Term]
@@ -95,6 +96,7 @@ class RunContext:
     otimes: str
     oplus: str
     limits: Limits = DEFAULT_LIMITS
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +161,7 @@ def depth1_expansion(base: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     grading term a member in its own right.
     """
     terms = ctx.universe.terms
-    filter_rep = set(compress(terms, entails_each(base, terms, limits=ctx.limits)))
+    filter_rep = set(compress(terms, entails_each(base, terms, limits=ctx.limits, memo=ctx.memo)))
     released = {g.inner for g in filter_rep if isinstance(g, Grade)}
     return frozenset(filter_rep | released)
 
@@ -182,9 +184,9 @@ def survives(p: Term, x: Kernel, q: Iterable[Term], ctx: RunContext, step: int) 
     canon = Canon(ctx.otimes, ctx.oplus, step)
     p_grade = fused_grade(p, q_fs, canon)
     for other in x.members:
-        if other != p and entails(ctx.top, Not(other), limits=ctx.limits):
+        if other != p and entails(ctx.top, Not(other), limits=ctx.limits, memo=ctx.memo):
             return True
-        if entails(ctx.top, other, limits=ctx.limits):
+        if entails(ctx.top, other, limits=ctx.limits, memo=ctx.memo):
             continue
         if other not in graded:
             return True
@@ -204,7 +206,7 @@ def supported(q: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     """
     q_fs = q if isinstance(q, frozenset) else frozenset(q)
     terms = ctx.universe.terms
-    result = set(compress(terms, entails_each(ctx.top, terms, limits=ctx.limits)))
+    result = set(compress(terms, entails_each(ctx.top, terms, limits=ctx.limits, memo=ctx.memo)))
     witnesses = _chain_witnesses(q_fs)
     pending = sorted((p for p in q_fs if p not in result), key=render)
     changed = True
@@ -214,7 +216,8 @@ def supported(q: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
         still_pending = []
         for p in pending:
             tops = witnesses.get(p, ())
-            if any(w in snapshot or entails(snapshot, w, limits=ctx.limits) for w in tops):
+            if any(w in snapshot or entails(snapshot, w, limits=ctx.limits, memo=ctx.memo)
+                   for w in tops):
                 result.add(p)
                 changed = True
             else:
@@ -254,14 +257,14 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
     """
     step = index + 1
     expansion = depth1_expansion(base, ctx)
-    kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits)
+    kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, memo=ctx.memo)
     survivors = frozenset(
         p
         for p in expansion
         if all(survives(p, x, expansion, ctx, step) for x in kernels if p in x.members)
     )
     next_base = supported(survivors, ctx)
-    fixpoint = mutually_entailing(next_base, base, limits=ctx.limits)
+    fixpoint = mutually_entailing(next_base, base, limits=ctx.limits, memo=ctx.memo)
     return LevelRecord(index, base, expansion, kernels, survivors, next_base, fixpoint)
 
 
@@ -271,9 +274,12 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
 
 @dataclass(frozen=True)
 class TelescopeTrace:
+    """The levels of one run, and the run's context with its memo."""
+
     theory_name: str
     canon: Canon
     levels: tuple[LevelRecord, ...]
+    context: RunContext
 
     def final_base(self) -> frozenset[Term]:
         return self.levels[-1].base
@@ -285,7 +291,7 @@ def _run_levels(
     queries: Iterable[Term],
     limits: Limits,
     stop_at_fixpoint: bool,
-) -> tuple[LevelRecord, ...]:
+) -> TelescopeTrace:
     if canon.level > limits.level_cap:
         raise CapacityError("telescoping level", limits.level_cap, canon.level)
     ctx = RunContext(
@@ -304,14 +310,14 @@ def _run_levels(
             if stop_at_fixpoint:
                 break
             base = everything
-        return tuple(records)
+        return TelescopeTrace(theory.name, canon, tuple(records), ctx)
     for index in range(canon.level + 1):
         record = telescope_once(base, index, ctx)
         records.append(record)
         if stop_at_fixpoint and record.fixpoint_reached:
             break
         base = record.supported
-    return tuple(records)
+    return TelescopeTrace(theory.name, canon, tuple(records), ctx)
 
 
 def telescope_n(
@@ -325,8 +331,7 @@ def telescope_n(
     ``queries`` widen the universe so that answers about them (and conflicts
     their subterms participate in) are visible to the finite representation.
     """
-    records = _run_levels(theory, canon, queries, limits, stop_at_fixpoint=False)
-    return TelescopeTrace(theory.name, canon, records)
+    return _run_levels(theory, canon, queries, limits, stop_at_fixpoint=False)
 
 
 def graded_consequence(
@@ -348,8 +353,9 @@ def graded_consequences(
     """Batch form of :func:`graded_consequence` sharing one trace."""
     query_list = list(queries)
     trace = telescope_n(theory, canon, query_list, limits)
-    base = trace.final_base()
-    return dict(zip(query_list, entails_each(base, query_list, limits=limits)))
+    ctx = trace.context
+    answers = entails_each(trace.final_base(), query_list, limits=ctx.limits, memo=ctx.memo)
+    return dict(zip(query_list, answers))
 
 
 def find_fixpoint(
@@ -370,9 +376,8 @@ def find_fixpoint(
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     canon = Canon(otimes, oplus, max_n - 1)
-    records = _run_levels(theory, canon, (), limits, stop_at_fixpoint=True)
-    trace = TelescopeTrace(theory.name, canon, records)
-    for record in records:
+    trace = _run_levels(theory, canon, (), limits, stop_at_fixpoint=True)
+    for record in trace.levels:
         if record.fixpoint_reached:
             return record.index, trace
     return None, trace

@@ -29,8 +29,10 @@ parsed (implication-free) tree.
 
 Individuals and terms are frozen, slotted dataclasses that hash once: the
 structural hash, the same value the generated dataclass hash gives, is
-computed on first use and kept in a slot. Identity is still structural
-equality; the slot takes no part in ``==`` or ``repr``.
+computed on first use and kept in a slot. A term's ``render`` text is kept
+the same way, in a second slot, so it lives exactly as long as the term and
+no module holds a table of texts. Identity is still structural equality;
+the slots take no part in ``==`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
@@ -50,9 +51,9 @@ _KEYWORDS = {"domain", "forall", "in", "theory"}
 
 
 class _HashOnce:
-    """Holds the slot where an individual's or a term's structural hash is kept."""
+    """Holds the slots of an individual's or a term's structural hash and of a term's text."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_text")
 
 
 def _hash_once(cls):
@@ -179,34 +180,41 @@ def _prec(t: Term) -> int:
     return 3
 
 
-@lru_cache(maxsize=None)
 def render(t: Term) -> str:
-    """Canonical text for a term; ``parse_term(render(t)) == t``."""
+    """Canonical text for a term; ``parse_term(render(t)) == t``.
+
+    Written once into the term's ``_text`` slot on first use.
+    """
+    try:
+        return t._text
+    except AttributeError:
+        pass
 
     def sub(x: Term, min_prec: int) -> str:
         s = render(x)
         return f"({s})" if _prec(x) < min_prec else s
 
     if isinstance(t, TrueTerm):
-        return "true"
-    if isinstance(t, Atom):
-        if not t.args:
-            return t.predicate
-        return f"{t.predicate}({', '.join(a.render() for a in t.args)})"
-    if isinstance(t, Not):
-        return "~" + sub(t.inner, 3)
-    if isinstance(t, And):
+        text = "true"
+    elif isinstance(t, Atom):
+        text = f"{t.predicate}({', '.join(a.render() for a in t.args)})" if t.args else t.predicate
+    elif isinstance(t, Not):
+        text = "~" + sub(t.inner, 3)
+    elif isinstance(t, And):
         # left-associative parse: the right child needs parens if it is an And
-        return f"{sub(t.left, 2)} & {sub(t.right, 3)}"
-    if isinstance(t, Or):
-        return f"{sub(t.left, 1)} | {sub(t.right, 2)}"
-    if isinstance(t, Grade):
-        return f"G({render(t.inner)}, {grade_text(t.grade)})"
-    if isinstance(t, Less):
-        return f"{grade_text(t.a)} < {grade_text(t.b)}"
-    if isinstance(t, GradeEq):
-        return f"{grade_text(t.a)} == {grade_text(t.b)}"
-    raise TypeError(f"not a term: {t!r}")
+        text = f"{sub(t.left, 2)} & {sub(t.right, 3)}"
+    elif isinstance(t, Or):
+        text = f"{sub(t.left, 1)} | {sub(t.right, 2)}"
+    elif isinstance(t, Grade):
+        text = f"G({render(t.inner)}, {grade_text(t.grade)})"
+    elif isinstance(t, Less):
+        text = f"{grade_text(t.a)} < {grade_text(t.b)}"
+    elif isinstance(t, GradeEq):
+        text = f"{grade_text(t.a)} == {grade_text(t.b)}"
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_text", text)
+    return text
 
 
 def subterms(t: Term) -> Iterator[Term]:

@@ -40,11 +40,15 @@ from logag.arguments import FACT, MONOTONIC, NONMONOTONIC
 from oracles import random_rule_system, validate_structure
 
 
+def _rule(rules, label):
+    return next(r for r in rules.rules if r.label == label)
+
+
 def test_parse_rule_kinds(penguin_rules):
-    assert penguin_rules.by_label("r2").kind == FACT
-    assert penguin_rules.by_label("r3").kind == MONOTONIC
-    assert penguin_rules.by_label("r7").kind == NONMONOTONIC
-    assert penguin_rules.by_label("r7").conclusion == T("~abnormal(penguin(A))")
+    assert _rule(penguin_rules, "r2").kind == FACT
+    assert _rule(penguin_rules, "r3").kind == MONOTONIC
+    assert _rule(penguin_rules, "r7").kind == NONMONOTONIC
+    assert _rule(penguin_rules, "r7").conclusion == T("~abnormal(penguin(A))")
 
 
 def test_parse_rules_rejects_duplicate_labels():
@@ -158,12 +162,12 @@ def test_wffs_and_completeness(penguin_rules):
 
 
 def test_pi_images(penguin_rules):
-    assert render(pi(penguin_rules.by_label("r3"))) == "~penguin(A) | bird(A)"
+    assert render(pi(_rule(penguin_rules, "r3"))) == "~penguin(A) | bird(A)"
     assert (
-        render(pi(penguin_rules.by_label("r4")))
+        render(pi(_rule(penguin_rules, "r4")))
         == "~(bird(A) & ~abnormal(bird(A))) | flies(A)"
     )
-    assert pi(penguin_rules.by_label("r1")) == T("true")
+    assert pi(_rule(penguin_rules, "r1")) == T("true")
 
 
 def test_chain_term():
@@ -410,7 +414,7 @@ def test_fused_grade_of_chained_rules_is_depth(penguin_rules):
     expansion = set(theory.terms)
     for _ in range(3):
         expansion |= {g.inner for g in set(expansion) if hasattr(g, "inner") and hasattr(g, "grade")}
-    r7_image = pi(penguin_rules.by_label("r7"))
+    r7_image = pi(_rule(penguin_rules, "r7"))
     assert fused_grade(r7_image, frozenset(expansion), canon3) == 3
     assert fused_grade(r7_image, frozenset(expansion), Canon("sum", "max", 2)) == 2
     assert fused_grade(r7_image, frozenset(expansion), Canon("sum", "max", 1)) == 1

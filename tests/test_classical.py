@@ -12,7 +12,6 @@ from logag import (
     Limits,
     Not,
     Or,
-    atom_key,
     bottom_kernels,
     entails,
     is_consistent,
@@ -21,7 +20,7 @@ from logag import (
     relevant_universe,
     render,
 )
-from logag.classical import _entails_cache, _solve, entails_each
+from logag.classical import _Encoder, _solve, entails_each
 from oracles import brute_kernels, tt_entails, tt_satisfiable
 from conftest import random_term
 
@@ -44,11 +43,20 @@ def test_order_atoms_pre_evaluated():
     assert entails(frozenset(), T("2 == 2"))
 
 
-def test_atom_keys():
-    assert atom_key(T("G(G(f,2),3)")) == "G(G(f, 2), 3)"
-    assert atom_key(T("p")) == "p"
-    assert atom_key(T("2 < 3")) is None
-    assert atom_key(T("~p")) is None
+def test_encoder_numbers_atoms_by_term():
+    enc = _Encoder()
+    tower = T("G(G(f,2),3)")
+    assert enc.clauses(tower) == [(1,)]  # a grading tower is one variable
+    assert enc.atoms == {tower: 1}
+    assert enc.clauses(T("2 < 3")) == []  # folds to true
+    assert enc.clauses(T("3 < 2")) is None  # folds to false
+    assert enc.n == 1
+    assert enc.clauses(T("p")) == [(2,)]
+    assert enc.clauses(T("~p")) == [(-2,)]  # reuses p's variable
+    first, second = Atom("q", ()), Atom("q", ())
+    assert first is not second
+    assert enc.clauses(first) == enc.clauses(second) == [(3,)]
+    assert enc.n == 3 and list(enc.atoms) == [tower, T("p"), first]
 
 
 def test_consistency_examples():
@@ -145,14 +153,13 @@ def test_entails_each_matches_truth_tables_and_single_entails(rng):
             base |= {T("2 < 1")}  # the base folds to false and entails everything
         goals = [term_with_constants(rng, atoms, 3) for _ in range(5)]
         goals += [T("true"), T("1 < 2"), T("2 < 1"), goals[0]]
-        _entails_cache.clear()
-        for g in rng.sample(goals, 2):  # answers cached before the batch starts
-            entails(base, g)
-        got = entails_each(base, goals)
+        memo = {}
+        for g in rng.sample(goals, 2):  # answers memoized before the batch starts
+            entails(base, g, memo=memo)
+        got = entails_each(base, goals, memo=memo)
         assert got == [tt_entails(base, g) for g in goals]
-        _entails_cache.clear()
+        assert memo == {(base, g): a for g, a in zip(goals, got)}
         assert got == [entails(base, g) for g in goals]
-        _entails_cache.clear()
         assert got == [entails_each(base, [g])[0] for g in goals]
 
 
@@ -160,18 +167,16 @@ def test_entails_each_refuses_at_the_goal_that_passes_the_atom_cap():
     limits = Limits(atom_cap=4)
     base = terms("a", "b | c")
     goals = [T("a"), T("d"), T("e & f"), T("b")]  # base and the third goal: 5 atoms
-    _entails_cache.clear()
+    batch_memo, single_memo = {}, {}
     with pytest.raises(CapacityError) as batch:
-        entails_each(base, goals, limits=limits)
-    batch_answers = dict(_entails_cache)
-    _entails_cache.clear()
-    singles = [entails(base, g, limits=limits) for g in goals[:2]]
+        entails_each(base, goals, limits=limits, memo=batch_memo)
+    singles = [entails(base, g, limits=limits, memo=single_memo) for g in goals[:2]]
     with pytest.raises(CapacityError) as single:
-        entails(base, goals[2], limits=limits)
+        entails(base, goals[2], limits=limits, memo=single_memo)
     for err in (batch.value, single.value):
         assert (err.what, err.limit, err.actual) == ("atom count", 4, 5)
     assert singles == [True, False]
-    assert batch_answers == dict(_entails_cache) == {(base, g, 4): a for g, a in zip(goals, singles)}
+    assert batch_memo == single_memo == {(base, g): a for g, a in zip(goals, singles)}
 
 
 def test_entails_matches_truth_table_on_random_bases(rng):

@@ -163,6 +163,23 @@ def test_args_verify_with_indexing_override(tmp_path):
     assert "level 2" in out  # the r7-structure now sits at depth 2
 
 
+def test_only_translate_and_verify_build_the_indexing(tmp_path, capsys):
+    # Thirteen defaults have 8192 subsets, over the subset cap of 4096.
+    wide = tmp_path / "wide.rules"
+    wide.write_text("f0: a.\n" + "".join(f"d{i}: a => b{i}.\n" for i in range(13)))
+    code, out = run("args", "enumerate", str(wide))
+    assert code == 0
+    assert out.splitlines()[-1] == "total: 14 arguments"
+    assert "error" not in capsys.readouterr().err
+    code, _ = run("args", "structures", str(wide))
+    assert code == 3
+    assert "error: structure seeds" in capsys.readouterr().err
+    for action in ("translate", "verify"):
+        code, out = run("args", action, str(wide))
+        assert (code, out) == (3, "")
+        assert "error: indexing subsets" in capsys.readouterr().err
+
+
 def test_capacity_error_maps_to_exit_3(tmp_path):
     wide = tmp_path / "wide.logag"
     wide.write_text("".join(f"p{i}.\n" for i in range(30)) + "~p0.\n")
