@@ -271,16 +271,20 @@ def _close_monotonically(rules: RuleSet, seed: set[Argument], limits: Limits) ->
 
 
 def enumerate_structures(
-    rules: RuleSet, limits: Limits = DEFAULT_LIMITS
+    rules: RuleSet,
+    limits: Limits = DEFAULT_LIMITS,
+    arguments: Optional[tuple[Argument, ...]] = None,
 ) -> tuple[ArgumentStructure, ...]:
     """Every argument structure over the rules, smallest first.
 
     A structure is determined by which non-monotonically-rooted arguments it
     adopts: base facts are mandatory, monotonic closure is forced, and the
     consistency condition filters the rest. Subsets whose closure turns
-    inconsistent yield no structure.
+    inconsistent yield no structure. ``arguments`` are the rules' arguments
+    as :func:`enumerate_arguments` returns them, for a caller that already
+    holds them; they are enumerated here otherwise.
     """
-    all_args = enumerate_arguments(rules, limits)
+    all_args = enumerate_arguments(rules, limits) if arguments is None else arguments
     nm_labels = {r.label for r in rules.nonmonotonic()}
     nm_rooted = [a for a in all_args if a.rule_label in nm_labels]
     if 2 ** len(nm_rooted) > limits.subset_cap:
@@ -445,7 +449,8 @@ def check_theorem1(t: ArgumentStructure, record: LevelRecord, ctx: RunContext) -
     and ``ctx`` that trace's context.
     """
     targets = sorted(wffs(t), key=render)
-    results = tuple(zip(targets, entails_each(record.base, targets, limits=ctx.limits, memo=ctx.memo)))
+    answers = entails_each(record.base, targets, limits=ctx.limits, session=ctx.session)
+    results = tuple(zip(targets, answers))
     return Theorem1Report(record.index, results, all(ok for _, ok in results))
 
 
@@ -489,9 +494,9 @@ def check_theorem2(
     subsets than ``ctx.limits.subset_cap``. Grading terms are skipped: they
     are never rule images.
     """
-    limits, memo = ctx.limits, ctx.memo
+    limits, session = ctx.limits, ctx.session
     candidates = [u for u in ctx.universe.terms if not isinstance(u, Grade)]
-    in_filter = entails_each(record.base, candidates, limits=limits, memo=memo)
+    in_filter = entails_each(record.base, candidates, limits=limits, session=session)
     consequences = list(compress(candidates, in_filter))
     structure_base = frozenset(pi(r) for r in rules_of_structure(t, rules))
     failures = []
@@ -499,7 +504,7 @@ def check_theorem2(
     for extension in _maximal_consistent_extensions(structure_base, rules, limits):
         base = structure_base | {pi(r) for r in extension}
         bases.append(base)
-        answers = entails_each(base, consequences, limits=limits, memo=memo)
+        answers = entails_each(base, consequences, limits=limits, session=session)
         failures.extend((u, base) for u, yes in zip(consequences, answers) if not yes)
     return Theorem2Report(
         record.index,

@@ -13,17 +13,29 @@ for exhaustive minimal-unsatisfiable-subset enumeration, run per
 atom-connected component (a minimal inconsistent set can never straddle two
 components with disjoint atoms).
 
-One SAT core serves both: ``_Encoder`` turns terms into clauses and
-``_solve`` (DPLL with unit propagation) decides them, and also picks each
-seed of the kernel search from its map of blocking clauses. Each base is
-encoded once: ``entails_each`` adds only ``Not(goal)`` per goal on top of
-the loaded base, and the kernel search encodes each component once, one
-clause block per member, and solves the blocks of each subset it checks.
+One SAT core serves both: ``_Solver`` is DPLL with unit propagation over
+clauses pushed and popped in stack order. ``_solve`` runs it once over a
+fresh clause list: each seed of the kernel search's map, and each
+consistency check of a kernel search. A ``Session`` keeps one solver for a
+whole run, and with it
 
-Nothing here keeps state between calls. A caller that asks the same
-question again passes a ``memo`` dict, keyed ``(base, goal)``, to the
-entailment functions; one telescoping run owns one (``RunContext.memo``),
-and it goes when the run's trace goes. A memo serves one set of limits.
+- a term table, which compiles each term once, in run-wide variable
+  numbers, to its literal (or the constant it folds to), its definitional
+  Tseitin clauses and its atoms;
+- a loaded base: its clauses are pushed and its units propagated once;
+  each goal then pushes its own definitional clauses, assumes its negation,
+  searches, and pops back to the base's trail. The base stays loaded after
+  the call, so a caller that asks about the same base goal by goal reuses
+  it;
+- a memo of every answer found, keyed ``(base, goal)``.
+
+The kernel search takes its members' clauses from the table and renumbers
+each component once to component-local variables.
+
+Nothing here keeps state between calls. One telescoping run owns one
+session (``RunContext.session``), which goes when the run's trace goes; a
+caller that passes none gets a fresh one. A session's memo serves one set
+of limits.
 """
 
 from __future__ import annotations
@@ -37,92 +49,66 @@ from .errors import CapacityError, EngineError
 from .terms import Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueTerm, render, subterms
 
 # ---------------------------------------------------------------------------
-# Boolean skeletons
+# The SAT core
 
 
-class _Encoder:
-    """Clauses over one numbering of atoms, as literals +v / -v over variables 1..n.
-
-    ``true`` and grade-order atoms fold to constants; predicate atoms and
-    whole grading terms are atoms, numbered by the term itself in order of
-    first occurrence; each non-constant ``&`` / ``|`` gets a fresh variable
-    defined equivalent to it (Tseitin). Built from a loaded base's encoder,
-    it continues that numbering, so a goal adds only its own clauses.
-    """
-
-    def __init__(self, loaded: Optional[_Encoder] = None):
-        self.atoms: dict[Term, int] = dict(loaded.atoms) if loaded else {}
-        self.n = loaded.n if loaded else 0
-
-    def check_atom_cap(self, limits: Limits) -> None:
-        if len(self.atoms) > limits.atom_cap:
-            raise CapacityError("atom count", limits.atom_cap, len(self.atoms))
-
-    def clauses(self, t: Term) -> Optional[list[tuple[int, ...]]]:
-        """Clauses asserting ``t``, or None when it folds to false."""
-        out: list[tuple[int, ...]] = []
-        s = self._lit(t, out)
-        if isinstance(s, bool):
-            return out if s else None
-        out.append((s,))
-        return out
-
-    def _lit(self, t: Term, out: list[tuple[int, ...]]):
-        if isinstance(t, TrueTerm):
-            return True
-        if isinstance(t, Less):
-            return bool(t.a < t.b)
-        if isinstance(t, GradeEq):
-            return bool(t.a == t.b)
-        if isinstance(t, (Atom, Grade)):
-            if t not in self.atoms:
-                self.n += 1
-                self.atoms[t] = self.n
-            return self.atoms[t]
-        if isinstance(t, Not):
-            return _neg(self._lit(t.inner, out))
-        if isinstance(t, And):
-            return self._conj(self._lit(t.left, out), self._lit(t.right, out), out)
-        if isinstance(t, Or):
-            return _neg(self._conj(_neg(self._lit(t.left, out)), _neg(self._lit(t.right, out)), out))
-        raise EngineError(f"cannot interpret {t!r} as a proposition")
-
-    def _conj(self, a, b, out: list[tuple[int, ...]]):
-        if a is False or b is False:
-            return False
-        if a is True or b is True:
-            return b if a is True else a
-        self.n += 1
-        out.extend(((-self.n, a), (-self.n, b), (self.n, -a, -b)))
-        return self.n
-
-
-def _neg(s):
-    return (not s) if isinstance(s, bool) else -s
-
-
-def _solve(n: int, clauses: Iterable[tuple[int, ...]]) -> Optional[set[int]]:
+class _Solver:
     """DPLL with unit propagation over literals +v / -v, 1 <= v <= n.
 
-    Branches on the smallest unassigned variable, true first, so the model
-    found is the first in that order. A variable in no clause is never
-    branched on (backtracking over it would only repeat the search below
-    it) and is true in the model, as that order sets it. Returns the true
-    variables, or None when the clauses are unsatisfiable.
+    ``true[lit]`` is the assignment (negative literals index from the end)
+    and ``trail`` the literals set true, in order, so cutting the trail back
+    to a mark undoes what was set after it. ``occurs[lit]`` lists the pushed
+    clauses holding ``lit``; ``pushed`` lists them in push order, so popping
+    back to a mark removes each from the end of its lists.
     """
-    true = bytearray(2 * n + 1)  # true[lit]: negative literals index from the end
-    occurs: list[list[tuple[int, ...]]] = [[] for _ in range(2 * n + 1)]
-    units = []
-    for clause in clauses:
-        if not clause:
-            return None
-        if len(clause) == 1:
-            units.append(clause[0])
-        for lit in clause:
-            occurs[lit].append(clause)
-    trail: list[int] = []
 
-    def propagate(queue: list[int]) -> bool:
+    __slots__ = ("n", "true", "occurs", "trail", "pushed")
+
+    def __init__(self, n: int = 0):
+        self.n = n
+        self.true = bytearray(2 * n + 1)
+        self.occurs: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+        self.trail: list[int] = []
+        self.pushed: list[list[int]] = []
+
+    def push(self, clauses: list[list[int]], queue: list[int]) -> bool:
+        """Add clauses, queueing the literal of each unit clause.
+
+        Returns False when one of them is empty. Only the length of a clause
+        is read here: one that arrives unit or false under the current
+        assignment is the caller's to avoid, since propagation visits a
+        clause only when one of its literals turns false.
+        """
+        occurs = self.occurs
+        self.pushed += clauses
+        ok = True
+        for clause in clauses:
+            for lit in clause:
+                occurs[lit].append(clause)
+            if len(clause) < 2:
+                if clause:
+                    queue.append(clause[0])
+                else:
+                    ok = False
+        return ok
+
+    def pop(self, mark: int) -> None:
+        """Remove the clauses pushed after the first ``mark``."""
+        occurs, pushed = self.occurs, self.pushed
+        for clause in reversed(pushed[mark:]):
+            for lit in clause:
+                occurs[lit].pop()
+        del pushed[mark:]
+
+    def undo(self, mark: int) -> None:
+        """Unassign the literals set after the first ``mark`` of the trail."""
+        true, trail = self.true, self.trail
+        for lit in trail[mark:]:
+            true[lit] = 0
+        del trail[mark:]
+
+    def propagate(self, queue: list[int]) -> bool:
+        true, occurs, trail = self.true, self.occurs, self.trail
         while queue:
             lit = queue.pop()
             if true[lit]:
@@ -146,41 +132,260 @@ def _solve(n: int, clauses: Iterable[tuple[int, ...]]) -> Optional[set[int]]:
                     queue.append(open_lit)
         return True
 
-    if not propagate(units):
+    def search(self, queue: list[int], order) -> bool:
+        """Propagate ``queue``, then branch on ``order``'s variables, true first.
+
+        Branches on the first unassigned variable of ``order``; a variable
+        in no pushed clause is never branched on (backtracking over it
+        would only repeat the search below it). Returns whether a model was
+        found; it stays assigned, and unassigned variables read true in it.
+        The caller undoes the trail.
+        """
+        true, occurs, trail = self.true, self.occurs, self.trail
+        propagate = self.propagate
+        if not propagate(queue):
+            return False
+        decisions: list[tuple[int, int]] = []  # (trail length before, index in order)
+        i, size = 0, len(order)
+        while True:
+            while i < size:
+                v = order[i]
+                if not (true[v] or true[-v]) and (occurs[v] or occurs[-v]):
+                    break
+                i += 1
+            else:
+                return True
+            decisions.append((len(trail), i))
+            if propagate([v]):
+                continue
+            while True:  # backtrack: undo the latest decision, then set its variable false
+                if not decisions:
+                    return False
+                mark, i = decisions.pop()
+                self.undo(mark)
+                if propagate([-order[i]]):
+                    break
+
+
+def _solve(n: int, clauses: list[list[int]]) -> Optional[set[int]]:
+    """The first model of ``clauses`` over variables 1..n, or None when unsatisfiable.
+
+    Branches on the smallest variable first, true first, so the model is the
+    first in that order; a variable in no clause is true in it.
+    """
+    solver = _Solver(n)
+    queue: list[int] = []
+    if not (solver.push(clauses, queue) and solver.search(queue, range(1, n + 1))):
         return None
-    decisions: list[tuple[int, int]] = []  # (trail length before, variable set true)
-    v = 1
-    while True:
-        while v <= n and (true[v] or true[-v] or not (occurs[v] or occurs[-v])):
-            v += 1
-        if v > n:
-            return {u for u in range(1, n + 1) if not true[-u]}
-        decisions.append((len(trail), v))
-        if propagate([v]):
-            continue
-        while True:  # backtrack: undo the latest decision, then set its variable false
-            if not decisions:
-                return None
-            mark, v = decisions.pop()
-            for undone in trail[mark:]:
-                true[undone] = 0
-            del trail[mark:]
-            if propagate([-v]):
+    true = solver.true
+    return {u for u in range(1, n + 1) if not true[-u]}
+
+
+class _Compiled:
+    """One term in a session's numbering.
+
+    ``lit`` is the literal standing for the term, or the constant it folds
+    to; ``defs`` are the Tseitin clauses defining its connectives; ``vars``
+    every variable its walk numbers, in walk order (an atom where first met,
+    a connective after its operands); ``atoms`` its distinct atoms, in the
+    same order.
+    """
+
+    __slots__ = ("lit", "defs", "vars", "atoms")
+
+    def __init__(self):
+        self.defs: list[list[int]] = []
+        self.vars: list[int] = []
+        self.atoms: list[int] = []
+
+
+def _neg(s):
+    return (not s) if isinstance(s, bool) else -s
+
+
+class Session:
+    """One run's SAT state: its answers, its compiled terms and one solver.
+
+    ``memo`` maps ``(base, goal)`` to every entailment answer found. The
+    solver holds the last loaded base, its units propagated, until another
+    base is asked about.
+    """
+
+    def __init__(self):
+        self.memo: dict[tuple[frozenset[Term], Term], bool] = {}
+        self._table: dict[Term, _Compiled] = {}
+        self._atoms: dict[Term, int] = {}
+        self._n = 0
+        self._solver = _Solver()
+        self._base: Optional[frozenset[Term]] = None
+        self._base_atoms: set[int] = set()
+        self._base_false = False
+        self._order: list[int] = []  # the base's variables still unassigned
+        self._trail_mark = self._pushed_mark = 0
+
+    # -- the term table ----------------------------------------------------
+
+    def compiled(self, t: Term) -> _Compiled:
+        """``t`` compiled once per session.
+
+        ``true`` and grade-order atoms fold to constants; predicate atoms and
+        whole grading terms are atoms, numbered by the term itself; each
+        non-constant ``&`` / ``|`` gets a fresh variable defined equivalent
+        to it, so no two terms share a connective's variable.
+        """
+        entry = self._table.get(t)
+        if entry is None:
+            entry = _Compiled()
+            entry.lit = self._walk(t, entry)
+            self._table[t] = entry
+        return entry
+
+    def _walk(self, t: Term, entry: _Compiled):
+        if isinstance(t, TrueTerm):
+            return True
+        if isinstance(t, Less):
+            return bool(t.a < t.b)
+        if isinstance(t, GradeEq):
+            return bool(t.a == t.b)
+        if isinstance(t, (Atom, Grade)):
+            v = self._atoms.get(t)
+            if v is None:
+                self._n += 1
+                v = self._atoms[t] = self._n
+            if v not in entry.atoms:
+                entry.atoms.append(v)
+                entry.vars.append(v)
+            return v
+        if isinstance(t, Not):
+            return _neg(self._walk(t.inner, entry))
+        if isinstance(t, And):
+            return self._conj(self._walk(t.left, entry), self._walk(t.right, entry), entry)
+        if isinstance(t, Or):
+            left, right = _neg(self._walk(t.left, entry)), _neg(self._walk(t.right, entry))
+            return _neg(self._conj(left, right, entry))
+        raise EngineError(f"cannot interpret {t!r} as a proposition")
+
+    def _conj(self, a, b, entry: _Compiled):
+        if a is False or b is False:
+            return False
+        if a is True or b is True:
+            return b if a is True else a
+        self._n += 1
+        v = self._n
+        entry.vars.append(v)
+        entry.defs += [[-v, a], [-v, b], [v, -a, -b]]
+        return v
+
+    # -- the loaded base ---------------------------------------------------
+
+    def _load(self, base: frozenset[Term]) -> None:
+        """Push the base's clauses and propagate its units, once per base.
+
+        Each member's definitional clauses are pushed and its literal is
+        queued as a unit. Every definitional clause holds the variable of
+        its own connective, which nothing has assigned when it is pushed,
+        so none arrives false.
+        """
+        self._base = None
+        entries = [self.compiled(t) for t in base]
+        solver = self._solver
+        if self._n > solver.n:  # room for twice the variables numbered so far
+            solver = self._solver = _Solver(2 * self._n)
+        else:
+            solver.undo(0)
+            solver.pop(0)
+        atoms: set[int] = set()
+        variables: set[int] = set()
+        for entry in entries:
+            atoms.update(entry.atoms)
+            variables.update(entry.vars)
+        queue: list[int] = []
+        false = False
+        for entry in entries:
+            if entry.lit is False:
+                false = True
                 break
+            if entry.lit is not True:
+                solver.push(entry.defs, queue)
+                queue.append(entry.lit)
+        self._base_false = false or not solver.propagate(queue)
+        true = solver.true
+        self._order = sorted(v for v in variables if not (true[v] or true[-v]))
+        self._trail_mark, self._pushed_mark = len(solver.trail), len(solver.pushed)
+        self._base_atoms = atoms
+        self._base = base
+
+    def _ensure_loaded(self, base: frozenset[Term]) -> None:
+        if base is not self._base and base != self._base:
+            self._load(base)
+
+    def _consistent(self, negated: Optional[_Compiled]) -> bool:
+        """Whether the loaded base is consistent, with ``Not(negated)`` when given.
+
+        ``negated``'s clauses are pushed above the base and its negated
+        literal is queued as a unit; they are popped, and the trail cut back
+        to the base's, before this returns. ``negated`` is no base member,
+        so its connectives' variables are unassigned when pushed.
+        """
+        if self._n > self._solver.n:
+            self._load(self._base)
+        solver = self._solver
+        queue: list[int] = []
+        order = self._order
+        try:
+            if negated is not None:
+                solver.push(negated.defs, queue)
+                queue.append(-negated.lit)
+                order = order + negated.vars
+            return solver.search(queue, order)
+        finally:
+            solver.undo(self._trail_mark)
+            solver.pop(self._pushed_mark)
+
+    # -- questions ---------------------------------------------------------
+
+    def satisfiable(self, base: frozenset[Term], limits: Limits) -> bool:
+        self._ensure_loaded(base)
+        if len(self._base_atoms) > limits.atom_cap:
+            raise CapacityError("atom count", limits.atom_cap, len(self._base_atoms))
+        return not self._base_false and self._consistent(None)
+
+    def entails(self, base: frozenset[Term], goal: Term, limits: Limits) -> bool:
+        """Whether ``base`` entails ``goal``, answered once per session.
+
+        ``atom_cap`` bounds the distinct atoms of base and goal together.
+        """
+        result = self.memo.get((base, goal))
+        if result is None:
+            self._ensure_loaded(base)
+            entry = self.compiled(goal)
+            atoms = self._base_atoms
+            count = len(atoms) + len([a for a in entry.atoms if a not in atoms])
+            if count > limits.atom_cap:
+                raise CapacityError("atom count", limits.atom_cap, count)
+            if self._base_false or entry.lit is True or goal in base:
+                result = True
+            else:
+                result = not self._consistent(None if entry.lit is False else entry)
+            self.memo[base, goal] = result
+        return result
 
 
-def satisfiable(ts: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS) -> bool:
-    enc = _Encoder()
-    blocks = [enc.clauses(t) for t in ts]
-    enc.check_atom_cap(limits)
-    return None not in blocks and _solve(enc.n, [c for b in blocks for c in b]) is not None
+def _frozen(ts: Iterable[Term]) -> frozenset[Term]:
+    return ts if isinstance(ts, frozenset) else frozenset(ts)
+
+
+def satisfiable(
+    ts: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS, session: Optional[Session] = None
+) -> bool:
+    return (Session() if session is None else session).satisfiable(_frozen(ts), limits)
 
 
 def entails(
-    base: Iterable[Term], goal: Term, *, limits: Limits = DEFAULT_LIMITS, memo: Optional[dict] = None
+    base: Iterable[Term], goal: Term, *, limits: Limits = DEFAULT_LIMITS, session: Optional[Session] = None
 ) -> bool:
     """True iff every boolean valuation satisfying all of ``base`` satisfies ``goal``."""
-    return entails_each(base, (goal,), limits=limits, memo=memo)[0]
+    return (Session() if session is None else session).entails(_frozen(base), goal, limits)
 
 
 def entails_each(
@@ -188,47 +393,37 @@ def entails_each(
     goals: Iterable[Term],
     *,
     limits: Limits = DEFAULT_LIMITS,
-    memo: Optional[dict] = None,
+    session: Optional[Session] = None,
 ) -> list[bool]:
-    """``entails(base, goal)`` for each goal in order, encoding the base once.
-
-    The base is encoded at the first answer not already in ``memo``; each
-    goal then adds only the clauses of ``Not(goal)``, numbered on from the
-    base's: the clause list ``satisfiable`` builds for the base's members
-    followed by ``Not(goal)``. Every answer found is stored in ``memo``.
-    """
-    base_fs = base if isinstance(base, frozenset) else frozenset(base)
-    memo = {} if memo is None else memo
-    loaded: Optional[_Encoder] = None
-    answers = []
-    for goal in goals:
-        result = memo.get((base_fs, goal))
-        if result is None:
-            if loaded is None:
-                loaded = _Encoder()
-                blocks = [loaded.clauses(t) for t in base_fs]
-                base_clauses = None if None in blocks else [c for b in blocks for c in b]
-            enc = _Encoder(loaded)
-            negated = enc.clauses(Not(goal))
-            enc.check_atom_cap(limits)
-            result = None in (base_clauses, negated) or _solve(enc.n, base_clauses + negated) is None
-            memo[base_fs, goal] = result
-        answers.append(result)
-    return answers
+    """``entails(base, goal)`` for each goal in order, loading the base once."""
+    session = Session() if session is None else session
+    base_fs = _frozen(base)
+    return [session.entails(base_fs, goal, limits) for goal in goals]
 
 
-def is_consistent(base: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_consistent(
+    base: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS, session: Optional[Session] = None
+) -> bool:
     """True iff some valuation satisfies all of ``base``."""
-    return satisfiable(base, limits=limits)
+    return satisfiable(base, limits=limits, session=session)
 
 
 def mutually_entailing(
-    a: Iterable[Term], b: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS, memo: Optional[dict] = None
+    a: Iterable[Term],
+    b: Iterable[Term],
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+    session: Optional[Session] = None,
 ) -> bool:
-    """True iff the two bases generate the same filter."""
+    """True iff the two bases generate the same filter.
+
+    Loads each base once and stops at the first member the other base does
+    not entail.
+    """
+    session = Session() if session is None else session
     a_fs, b_fs = frozenset(a), frozenset(b)
-    return all(entails(b_fs, t, limits=limits, memo=memo) for t in a_fs) and all(
-        entails(a_fs, t, limits=limits, memo=memo) for t in b_fs
+    return all(session.entails(b_fs, t, limits) for t in a_fs) and all(
+        session.entails(a_fs, t, limits) for t in b_fs
     )
 
 
@@ -278,14 +473,9 @@ class Kernel:
         return tuple(sorted(self.members, key=render))
 
 
-def _skeleton_atoms(t: Term) -> Iterable[Term]:
-    enc = _Encoder()
-    enc.clauses(t)
-    return enc.atoms
-
-
-def _components(ts: list[Term]) -> list[list[Term]]:
-    parent = list(range(len(ts)))
+def _components(entries: list[_Compiled]) -> list[list[int]]:
+    """Indices of the entries, grouped by shared atoms."""
+    parent = list(range(len(entries)))
 
     def find(i):
         while parent[i] != i:
@@ -293,24 +483,48 @@ def _components(ts: list[Term]) -> list[list[Term]]:
             i = parent[i]
         return i
 
-    by_atom: dict[Term, int] = {}
-    for i, t in enumerate(ts):
-        for key in _skeleton_atoms(t):
-            j = by_atom.setdefault(key, i)
+    by_atom: dict[int, int] = {}
+    for i, entry in enumerate(entries):
+        for atom in entry.atoms:
+            j = by_atom.setdefault(atom, i)
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj
-    groups: dict[int, list[Term]] = {}
-    for i, t in enumerate(ts):
-        groups.setdefault(find(i), []).append(t)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(entries)):
+        groups.setdefault(find(i), []).append(i)
     return [groups[k] for k in sorted(groups)]
+
+
+def _local_blocks(entries: list[_Compiled]) -> tuple[int, list[Optional[list[list[int]]]]]:
+    """Each entry's clauses asserting it, in variables 1..n local to the entries.
+
+    Variables are renumbered in the entries' walk order, so the blocks are
+    the ones a walk of the entries alone would number. A block is None when
+    its entry folds to false.
+    """
+    local: dict[int, int] = {}
+    for entry in entries:
+        for v in entry.vars:
+            if v not in local:
+                local[v] = len(local) + 1
+    blocks: list[Optional[list[list[int]]]] = []
+    for entry in entries:
+        if entry.lit is False:
+            blocks.append(None)
+            continue
+        block = [[local[x] if x > 0 else -local[-x] for x in clause] for clause in entry.defs]
+        if entry.lit is not True:
+            block.append([local[entry.lit] if entry.lit > 0 else -local[-entry.lit]])
+        blocks.append(block)
+    return len(local), blocks
 
 
 def _all_minimal_inconsistent(
     items: list[Term], consistent: Callable[[list[int]], bool]
 ) -> list[frozenset[Term]]:
     n = len(items)
-    clauses: list[tuple[int, ...]] = []
+    clauses: list[list[int]] = []
     found: list[frozenset[Term]] = []
     while True:
         seed = _solve(n, clauses)
@@ -322,19 +536,23 @@ def _all_minimal_inconsistent(
             for i in range(n):
                 if i not in satisfied and consistent(sorted(satisfied | {i})):
                     satisfied.add(i)
-            clauses.append(tuple(i + 1 for i in range(n) if i not in satisfied))
+            clauses.append([i + 1 for i in range(n) if i not in satisfied])
         else:
             core = set(picked)
             for i in sorted(picked):
                 if i in core and len(core) > 1 and not consistent(sorted(core - {i})):
                     core.remove(i)
             found.append(frozenset(items[i] for i in core))
-            clauses.append(tuple(-(i + 1) for i in sorted(core)))
+            clauses.append([-(i + 1) for i in sorted(core)])
     return found
 
 
 def bottom_kernels(
-    q: Iterable[Term], universe: Universe, *, limits: Limits = DEFAULT_LIMITS, memo: Optional[dict] = None
+    q: Iterable[Term],
+    universe: Universe,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+    session: Optional[Session] = None,
 ) -> frozenset[Kernel]:
     """All subset-minimal inconsistent subsets of ``q``.
 
@@ -342,29 +560,34 @@ def bottom_kernels(
     extracted propositions should be visible to conflict detection — so the
     minimality test is plain classical consistency of the subset itself.
     Tautologies are pruned up front (they belong to no minimal inconsistent
-    set, and ``memo`` answers the tautology checks it has seen), as is every
-    atom-connected component that is consistent as a whole.
-    Each component is encoded once, one clause block per member over shared
-    atoms, and every consistency check solves the blocks of its subset.
+    set; the session answers the checks it has seen), as is every
+    atom-connected component that is consistent as a whole. Each component's
+    clauses come from the session's term table, renumbered once to the
+    component's own variables, and every consistency check solves the
+    blocks of its subset.
     """
+    session = Session() if session is None else session
     q_list = sorted(set(q), key=render)
     missing = [t for t in q_list if t not in universe]
     if missing:
         raise EngineError(f"kernel query term outside universe: {render(missing[0])}")
-    candidates = [t for t in q_list if not entails(frozenset(), t, limits=limits, memo=memo)]
+    candidates = [t for t in q_list if not entails(frozenset(), t, limits=limits, session=session)]
+    entries = [session.compiled(t) for t in candidates]
     kernels: list[frozenset[Term]] = []
-    for component in _components(candidates):
-        enc = _Encoder()
-        blocks = [enc.clauses(t) for t in component]
-        enc.check_atom_cap(limits)
+    for group in _components(entries):
+        members = [entries[i] for i in group]
+        atoms = {atom for entry in members for atom in entry.atoms}
+        if len(atoms) > limits.atom_cap:
+            raise CapacityError("atom count", limits.atom_cap, len(atoms))
+        n, blocks = _local_blocks(members)
 
         def consistent(picked: Iterable[int]) -> bool:
             subset = [blocks[i] for i in picked]
-            return None not in subset and _solve(enc.n, [c for b in subset for c in b]) is not None
+            return None not in subset and _solve(n, [c for b in subset for c in b]) is not None
 
-        if consistent(range(len(component))):
+        if consistent(range(len(group))):
             continue
-        if len(component) > limits.kernel_cap:
-            raise CapacityError("kernel search base", limits.kernel_cap, len(component))
-        kernels.extend(_all_minimal_inconsistent(component, consistent))
+        if len(group) > limits.kernel_cap:
+            raise CapacityError("kernel search base", limits.kernel_cap, len(group))
+        kernels.extend(_all_minimal_inconsistent([candidates[i] for i in group], consistent))
     return frozenset(Kernel(k) for k in kernels)

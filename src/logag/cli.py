@@ -162,7 +162,7 @@ def _cmd_args(ns, out) -> int:
     if ns.action == "structures":
         args = enumerate_arguments(rules, limits)
         label_of = {a: f"p{i}" for i, a in enumerate(args, start=1)}
-        structures = enumerate_structures(rules, limits)
+        structures = enumerate_structures(rules, limits, args)
         maximal = maximal_structures(structures)
         for i, s in enumerate(structures, start=1):
             names = ", ".join(label_of[a] for a in s.sorted_arguments())

@@ -35,6 +35,7 @@ from typing import Iterable, Optional
 
 from .classical import (
     Kernel,
+    Session,
     Universe,
     bottom_kernels,
     entails,
@@ -87,8 +88,9 @@ class RunContext:
 
     The step index is not part of it: each step receives its own. The grade
     order is the numeric order on exact rationals, the single total order
-    the grade sort carries here. ``memo`` holds every entailment answer the
-    run has found, keyed ``(base, goal)``; it lives as long as the context.
+    the grade sort carries here. ``session`` is the run's SAT session: its
+    term table, its loaded base and its memo of every entailment answer the
+    run has found; it lives as long as the context.
     """
 
     top: frozenset[Term]
@@ -96,7 +98,12 @@ class RunContext:
     otimes: str
     oplus: str
     limits: Limits = DEFAULT_LIMITS
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    session: Session = field(default_factory=Session, compare=False, repr=False)
+
+    @property
+    def memo(self) -> dict[tuple[frozenset[Term], Term], bool]:
+        """The run's entailment answers, keyed ``(base, goal)``."""
+        return self.session.memo
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +168,7 @@ def depth1_expansion(base: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     grading term a member in its own right.
     """
     terms = ctx.universe.terms
-    filter_rep = set(compress(terms, entails_each(base, terms, limits=ctx.limits, memo=ctx.memo)))
+    filter_rep = set(compress(terms, entails_each(base, terms, limits=ctx.limits, session=ctx.session)))
     released = {g.inner for g in filter_rep if isinstance(g, Grade)}
     return frozenset(filter_rep | released)
 
@@ -184,9 +191,9 @@ def survives(p: Term, x: Kernel, q: Iterable[Term], ctx: RunContext, step: int) 
     canon = Canon(ctx.otimes, ctx.oplus, step)
     p_grade = fused_grade(p, q_fs, canon)
     for other in x.members:
-        if other != p and entails(ctx.top, Not(other), limits=ctx.limits, memo=ctx.memo):
+        if other != p and entails(ctx.top, Not(other), limits=ctx.limits, session=ctx.session):
             return True
-        if entails(ctx.top, other, limits=ctx.limits, memo=ctx.memo):
+        if entails(ctx.top, other, limits=ctx.limits, session=ctx.session):
             continue
         if other not in graded:
             return True
@@ -206,7 +213,7 @@ def supported(q: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     """
     q_fs = q if isinstance(q, frozenset) else frozenset(q)
     terms = ctx.universe.terms
-    result = set(compress(terms, entails_each(ctx.top, terms, limits=ctx.limits, memo=ctx.memo)))
+    result = set(compress(terms, entails_each(ctx.top, terms, limits=ctx.limits, session=ctx.session)))
     witnesses = _chain_witnesses(q_fs)
     pending = sorted((p for p in q_fs if p not in result), key=render)
     changed = True
@@ -216,7 +223,7 @@ def supported(q: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
         still_pending = []
         for p in pending:
             tops = witnesses.get(p, ())
-            if any(w in snapshot or entails(snapshot, w, limits=ctx.limits, memo=ctx.memo)
+            if any(w in snapshot or entails(snapshot, w, limits=ctx.limits, session=ctx.session)
                    for w in tops):
                 result.add(p)
                 changed = True
@@ -257,14 +264,14 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
     """
     step = index + 1
     expansion = depth1_expansion(base, ctx)
-    kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, memo=ctx.memo)
+    kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
     survivors = frozenset(
         p
         for p in expansion
         if all(survives(p, x, expansion, ctx, step) for x in kernels if p in x.members)
     )
     next_base = supported(survivors, ctx)
-    fixpoint = mutually_entailing(next_base, base, limits=ctx.limits, memo=ctx.memo)
+    fixpoint = mutually_entailing(next_base, base, limits=ctx.limits, session=ctx.session)
     return LevelRecord(index, base, expansion, kernels, survivors, next_base, fixpoint)
 
 
@@ -274,7 +281,7 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
 
 @dataclass(frozen=True)
 class TelescopeTrace:
-    """The levels of one run, and the run's context with its memo."""
+    """The levels of one run, and the run's context with its session."""
 
     theory_name: str
     canon: Canon
@@ -299,7 +306,7 @@ def _run_levels(
     )
     records: list[LevelRecord] = []
     base = ctx.top
-    if not is_consistent(ctx.top, limits=limits):
+    if not is_consistent(ctx.top, limits=limits, session=ctx.session):
         # An inconsistent top theory already has the improper filter: every
         # proposition is a consequence and conflict resolution cannot help.
         everything = frozenset(ctx.universe.terms)
@@ -354,7 +361,7 @@ def graded_consequences(
     query_list = list(queries)
     trace = telescope_n(theory, canon, query_list, limits)
     ctx = trace.context
-    answers = entails_each(trace.final_base(), query_list, limits=ctx.limits, memo=ctx.memo)
+    answers = entails_each(trace.final_base(), query_list, limits=ctx.limits, session=ctx.session)
     return dict(zip(query_list, answers))
 
 

@@ -15,12 +15,13 @@ from logag import (
     bottom_kernels,
     entails,
     is_consistent,
+    mutually_entailing,
     parse_term as T,
     parse_theory,
     relevant_universe,
     render,
 )
-from logag.classical import _Encoder, _solve, entails_each
+from logag.classical import Session, _solve, entails_each
 from oracles import brute_kernels, tt_entails, tt_satisfiable
 from conftest import random_term
 
@@ -43,20 +44,23 @@ def test_order_atoms_pre_evaluated():
     assert entails(frozenset(), T("2 == 2"))
 
 
-def test_encoder_numbers_atoms_by_term():
-    enc = _Encoder()
+def test_term_table_numbers_atoms_by_term():
+    session = Session()
     tower = T("G(G(f,2),3)")
-    assert enc.clauses(tower) == [(1,)]  # a grading tower is one variable
-    assert enc.atoms == {tower: 1}
-    assert enc.clauses(T("2 < 3")) == []  # folds to true
-    assert enc.clauses(T("3 < 2")) is None  # folds to false
-    assert enc.n == 1
-    assert enc.clauses(T("p")) == [(2,)]
-    assert enc.clauses(T("~p")) == [(-2,)]  # reuses p's variable
+    entry = session.compiled(tower)
+    assert (entry.lit, entry.defs, entry.atoms) == (1, [], [1])  # a grading tower is one variable
+    assert session.compiled(T("2 < 3")).lit is True  # folds to true
+    assert session.compiled(T("3 < 2")).lit is False  # folds to false
+    assert session.compiled(T("p")).lit == 2
+    assert session.compiled(T("~p")).lit == -2  # reuses p's variable
     first, second = Atom("q", ()), Atom("q", ())
     assert first is not second
-    assert enc.clauses(first) == enc.clauses(second) == [(3,)]
-    assert enc.n == 3 and list(enc.atoms) == [tower, T("p"), first]
+    assert session.compiled(first) is session.compiled(second)  # compiled once
+    assert session.compiled(first).lit == 3
+    conj = session.compiled(T("q & p"))
+    assert (conj.lit, conj.vars, conj.atoms) == (4, [3, 2, 4], [3, 2])
+    assert conj.defs == [[-4, 3], [-4, 2], [4, -3, -2]]
+    assert list(session._atoms) == [tower, T("p"), first]
 
 
 def test_consistency_examples():
@@ -153,12 +157,12 @@ def test_entails_each_matches_truth_tables_and_single_entails(rng):
             base |= {T("2 < 1")}  # the base folds to false and entails everything
         goals = [term_with_constants(rng, atoms, 3) for _ in range(5)]
         goals += [T("true"), T("1 < 2"), T("2 < 1"), goals[0]]
-        memo = {}
+        session = Session()
         for g in rng.sample(goals, 2):  # answers memoized before the batch starts
-            entails(base, g, memo=memo)
-        got = entails_each(base, goals, memo=memo)
+            entails(base, g, session=session)
+        got = entails_each(base, goals, session=session)
         assert got == [tt_entails(base, g) for g in goals]
-        assert memo == {(base, g): a for g, a in zip(goals, got)}
+        assert session.memo == {(base, g): a for g, a in zip(goals, got)}
         assert got == [entails(base, g) for g in goals]
         assert got == [entails_each(base, [g])[0] for g in goals]
 
@@ -167,16 +171,73 @@ def test_entails_each_refuses_at_the_goal_that_passes_the_atom_cap():
     limits = Limits(atom_cap=4)
     base = terms("a", "b | c")
     goals = [T("a"), T("d"), T("e & f"), T("b")]  # base and the third goal: 5 atoms
-    batch_memo, single_memo = {}, {}
+    batch_session, single_session = Session(), Session()
     with pytest.raises(CapacityError) as batch:
-        entails_each(base, goals, limits=limits, memo=batch_memo)
-    singles = [entails(base, g, limits=limits, memo=single_memo) for g in goals[:2]]
+        entails_each(base, goals, limits=limits, session=batch_session)
+    singles = [entails(base, g, limits=limits, session=single_session) for g in goals[:2]]
     with pytest.raises(CapacityError) as single:
-        entails(base, goals[2], limits=limits, memo=single_memo)
+        entails(base, goals[2], limits=limits, session=single_session)
     for err in (batch.value, single.value):
         assert (err.what, err.limit, err.actual) == ("atom count", 4, 5)
     assert singles == [True, False]
-    assert batch_memo == single_memo == {(base, g): a for g, a in zip(goals, singles)}
+    expected = {(base, g): a for g, a in zip(goals, singles)}
+    assert batch_session.memo == single_session.memo == expected
+
+
+def assert_only_the_base_is_loaded(session):
+    """Between questions the solver holds the loaded base's clauses and trail, no more."""
+    solver = session._solver
+    assert len(solver.pushed) == session._pushed_mark
+    assert len(solver.trail) == session._trail_mark
+    assert sum(map(len, solver.occurs)) == sum(map(len, solver.pushed))
+
+
+def test_one_session_answers_like_the_oracles_across_bases_goals_and_kernel_searches(rng):
+    """A session's loaded base, pushed goals and term table leave no residue.
+
+    Batches over changing bases (empty, folding to false, contradictory,
+    random) alternate with single questions, mutual entailment and kernel
+    searches on the same session, and a refused batch leaves the session
+    answering correctly.
+    """
+    atoms = ["a", "b", "c", "d"]
+    session = Session()
+    bases = [frozenset(), terms("a", "b & (2 < 1)"), terms("a | b", "~a", "~b"), terms("c", "~c | d")]
+    for _ in range(4):
+        bases.append(frozenset(term_with_constants(rng, atoms, 3) for _ in range(rng.randint(1, 4))))
+    fixed_goals = [T("true"), T("2 < 1"), T("a | ~a"), T("a & ~a"), T("d"), T("~d")]
+    for i in range(150):
+        base = rng.choice(bases)
+        goals = [term_with_constants(rng, atoms, 3) for _ in range(4)] + rng.sample(fixed_goals, 2)
+        goals += rng.sample(sorted(base, key=render), min(len(base), 1))  # a member of the base
+        assert entails_each(base, goals, session=session) == [tt_entails(base, g) for g in goals]
+        assert_only_the_base_is_loaded(session)
+        goal = term_with_constants(rng, atoms, 3)
+        assert entails(base, goal, session=session) == tt_entails(base, goal)
+        assert is_consistent(base, session=session) == tt_satisfiable(base)
+        other = rng.choice(bases)
+        both_ways = all(tt_entails(other, t) for t in base) and all(tt_entails(base, t) for t in other)
+        assert mutually_entailing(base, other, session=session) == both_ways
+        assert_only_the_base_is_loaded(session)
+        if i % 5 == 0:
+            q = frozenset(term_with_constants(rng, atoms, 2) for _ in range(6))
+            got = {k.members for k in bottom_kernels(q, relevant_universe(q), session=session)}
+            assert got == brute_kernels(q)
+            assert_only_the_base_is_loaded(session)
+        if i % 25 == 0:  # the fourth goal passes the atom cap: 5 atoms with the base
+            base = terms("a", "b | c")
+            fresh = And(Atom(f"e{i}"), Atom(f"f{i}"))
+            goals = [T("b"), term_with_constants(rng, ["a", "d"], 3), T("~a"), fresh, T("c")]
+            with pytest.raises(CapacityError) as err:
+                entails_each(base, goals, limits=Limits(atom_cap=4), session=session)
+            assert (err.value.what, err.value.limit, err.value.actual) == ("atom count", 4, 5)
+            assert all(session.memo[base, g] == tt_entails(base, g) for g in goals[:3])
+            assert (base, goals[3]) not in session.memo
+            assert_only_the_base_is_loaded(session)
+            later = [term_with_constants(rng, ["a", "b", "c", "e"], 3) for _ in range(3)] + goals[3:]
+            later.append(Or(fresh, Not(fresh)))
+            assert entails_each(base, later, session=session) == [tt_entails(base, g) for g in later]
+            assert_only_the_base_is_loaded(session)
 
 
 def test_entails_matches_truth_table_on_random_bases(rng):

@@ -125,6 +125,23 @@ def test_args_structures_numbers_arguments_smallest_first():
     ]
 
 
+def test_args_structures_enumerates_the_arguments_once(monkeypatch):
+    import logag.arguments
+    import logag.cli
+
+    calls = []
+    original = logag.arguments.enumerate_arguments
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (logag.arguments, logag.cli):
+        monkeypatch.setattr(module, "enumerate_arguments", counted)
+    code, _ = run("args", "structures", str(DATA / "penguin.rules"))
+    assert (code, len(calls)) == (0, 1)
+
+
 def test_args_translate_output_reparses_to_translation(tmp_path):
     code, out = run("args", "translate", str(DATA / "penguin.rules"))
     assert code == 0

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -350,3 +352,17 @@ def test_determinism(penguin_brother):
     a = trace_to_dict(telescope_n(penguin_brother, MEAN_MAX(3)))
     b = trace_to_dict(telescope_n(penguin_brother, MEAN_MAX(3)))
     assert a == b
+
+
+def test_a_run_session_goes_with_its_trace_without_the_cycle_collector(ot1):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        trace = telescope_n(ot1, Canon("sum", "max", 2))
+        session = weakref.ref(trace.context.session)
+        assert trace.context.memo is session().memo
+        del trace
+        assert session() is None
+    finally:
+        if enabled:
+            gc.enable()
