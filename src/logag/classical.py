@@ -29,8 +29,11 @@ whole run, and with it
   it;
 - a memo of every answer found, keyed ``(base, goal)``.
 
-The kernel search takes its members' clauses from the table and renumbers
-each component once to component-local variables.
+The kernel search first asks the session whether the whole queried set is
+consistent, as the memoized question ``(q, ~true)`` when ``q``'s distinct
+atoms fit ``atom_cap``; a consistent set has no kernels, and the memo
+answers a repeated one. Otherwise it takes its members' clauses from the
+table and renumbers each component once to component-local variables.
 
 Nothing here keeps state between calls. One telescoping run owns one
 session (``RunContext.session``), which goes when the run's trace goes; a
@@ -46,7 +49,7 @@ from typing import Callable, Iterable, Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError
-from .terms import Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueTerm, render, subterms
+from .terms import TRUE, Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueTerm, render, subterms
 
 # ---------------------------------------------------------------------------
 # The SAT core
@@ -559,18 +562,24 @@ def bottom_kernels(
     ``q`` is expected to be already expanded — its members include whatever
     extracted propositions should be visible to conflict detection — so the
     minimality test is plain classical consistency of the subset itself.
-    Tautologies are pruned up front (they belong to no minimal inconsistent
-    set; the session answers the checks it has seen), as is every
-    atom-connected component that is consistent as a whole. Each component's
-    clauses come from the session's term table, renumbered once to the
-    component's own variables, and every consistency check solves the
-    blocks of its subset.
+    A ``q`` whose distinct atoms fit ``atom_cap`` is first checked whole,
+    as the session's memoized entailment ``(q, ~true)``, and a consistent
+    one has no kernels. Otherwise tautologies are pruned (they belong to no
+    minimal inconsistent set; the session answers the checks it has seen),
+    as is every atom-connected component that is consistent as a whole; a
+    component over ``atom_cap`` raises. Each component's clauses come from
+    the session's term table, renumbered once to the component's own
+    variables, and every consistency check solves the blocks of its subset.
     """
     session = Session() if session is None else session
-    q_list = sorted(set(q), key=render)
-    missing = [t for t in q_list if t not in universe]
+    q_fs = _frozen(q)
+    missing = sorted((t for t in q_fs if t not in universe), key=render)
     if missing:
         raise EngineError(f"kernel query term outside universe: {render(missing[0])}")
+    q_atoms = {atom for t in q_fs for atom in session.compiled(t).atoms}
+    if len(q_atoms) <= limits.atom_cap and not session.entails(q_fs, Not(TRUE), limits):
+        return frozenset()
+    q_list = sorted(q_fs, key=render)
     candidates = [t for t in q_list if not entails(frozenset(), t, limits=limits, session=session)]
     entries = [session.compiled(t) for t in candidates]
     kernels: list[frozenset[Term]] = []

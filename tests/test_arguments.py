@@ -367,16 +367,20 @@ def _reference_reports(rules, idx):
     return tuple(reports)
 
 
-# The last system is a known Theorem 1 counterexample (the default d0 ties
-# with the cancelled image of n0), so it takes the harnesses' failure path.
+# The last two systems are known Theorem 1 counterexamples, so they take the
+# harnesses' failure path. In the first, the default d0 ties with the
+# cancelled image of n0. The second is the smallest one known: at step 1,
+# pi(d0), pi(d1) and ~pi(d1) all fuse to grade 1, the tied kernels evict
+# pi(d0), and ``a`` is missing at level 1.
 @pytest.mark.parametrize(
     "rules_text, indexing_text",
     [
         (None, None),
         (None, "INDEX: r8\nINDEX: r7\nINDEX: r7, r8\n"),
         ("f0: a0.\nn0: a0 => a1.\nm0: a1 -> ~b0.\nd0: a0 => b0.\n", None),
+        ("f0: true.\nd0: true => a.\nd1: a, a => ~a.\n", None),
     ],
-    ids=["penguin", "penguin-reindexed", "tie-counterexample"],
+    ids=["penguin", "penguin-reindexed", "tie-counterexample", "twin-cancelled-counterexample"],
 )
 def test_verify_matches_per_structure_reference(penguin_rules, rules_text, indexing_text):
     rules = penguin_rules if rules_text is None else parse_rules(rules_text)

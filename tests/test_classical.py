@@ -21,7 +21,7 @@ from logag import (
     relevant_universe,
     render,
 )
-from logag.classical import Session, _solve, entails_each
+from logag.classical import Session, _Solver, _solve, entails_each
 from oracles import brute_kernels, tt_entails, tt_satisfiable
 from conftest import random_term
 
@@ -336,3 +336,67 @@ def test_kernel_cap_enforced():
     u = relevant_universe(q)
     with pytest.raises(CapacityError):
         bottom_kernels(q, u, limits=Limits(kernel_cap=20))
+
+
+# -- the whole-set check before the kernel search ----------------------------
+
+
+def test_consistent_set_over_the_atom_cap_with_small_components_has_no_kernels():
+    # Nine components of three atoms each: 27 atoms in all, over atom_cap 24.
+    q = frozenset(T(f"a{i} | b{i} | c{i}") for i in range(9)) | frozenset(T(f"a{i}") for i in range(9))
+    assert bottom_kernels(q, relevant_universe(q)) == frozenset()
+
+
+def test_consistent_component_over_the_atom_cap_still_raises():
+    # One component, consistent (every x true): 25 atoms, over atom_cap 24.
+    q = frozenset(T(f"~x{i} | x{i + 1}") for i in range(24)) | terms("x0")
+    with pytest.raises(CapacityError) as err:
+        bottom_kernels(q, relevant_universe(q))
+    assert (err.value.what, err.value.limit, err.value.actual) == ("atom count", 24, 25)
+
+
+def test_repeated_consistent_set_is_answered_from_the_memo(monkeypatch):
+    q = terms("a | b", "~a", "c & ~d", "G(p, 2)")
+    u = relevant_universe(q)
+    session = Session()
+    assert bottom_kernels(q, u, session=session) == frozenset()
+    assert session.memo[q, T("~true")] is False
+    searches = []
+    search = _Solver.search
+
+    def counted(self, *args):
+        searches.append(args)
+        return search(self, *args)
+
+    monkeypatch.setattr(_Solver, "search", counted)
+    assert bottom_kernels(frozenset(set(q)), u, session=session) == frozenset()
+    assert searches == []
+
+
+def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsistent_sets(rng):
+    """One session answers whole-set checks and per-component searches alike.
+
+    Sets drawing on one to three two-atom groups are drawn, some of them
+    again, under atom_cap 4: a set whose atoms go past it takes the
+    per-component path, the others are checked whole first.
+    """
+    groups = (["a", "b"], ["c", "d"], ["e", "f"])
+    limits = Limits(atom_cap=4)
+    session = Session()
+    seen: list[frozenset] = []
+    outcomes = set()
+    for i in range(60):
+        if seen and i % 4 == 3:
+            q = frozenset(set(rng.choice(seen)))
+        else:
+            chosen = rng.sample(groups, rng.randint(1, 3))
+            q = frozenset(term_with_constants(rng, g, 2) for g in chosen for _ in range(rng.randint(1, 3)))
+            seen.append(q)
+        got = {k.members for k in bottom_kernels(q, relevant_universe(q), limits=limits, session=session)}
+        assert got == brute_kernels(q)
+        assert_only_the_base_is_loaded(session)
+        whole = session.memo.get((q, T("~true")))
+        if whole is not None:
+            assert whole == (not tt_satisfiable(q))
+        outcomes.add((whole, bool(got)))
+    assert {(False, False), (True, True), (None, False), (None, True)} <= outcomes
