@@ -464,15 +464,16 @@ class Theorem2Report:
 
 
 def _maximal_consistent_extensions(
-    core: frozenset[Term], rules: RuleSet, limits: Limits
+    core: frozenset[Term], rules: RuleSet, ctx: RunContext
 ) -> tuple[tuple[Rule, ...], ...]:
+    limits = ctx.limits
     mono = rules.monotonic()
     if 2 ** len(mono) > limits.subset_cap:
         raise CapacityError("monotonic rule subsets", limits.subset_cap, 2 ** len(mono))
     consistent_sets = []
     for size in range(len(mono) + 1):
         for combo in combinations(mono, size):
-            if is_consistent(core | {pi(r) for r in combo}, limits=limits):
+            if is_consistent(core | {pi(r) for r in combo}, limits=limits, session=ctx.session):
                 consistent_sets.append(frozenset(combo))
     maximal = [
         s for s in consistent_sets if not any(s < other for other in consistent_sets)
@@ -489,8 +490,9 @@ def check_theorem2(
     ``ctx`` that trace's context, whose universe is the theory's. Each
     non-grading universe term the graded filter contains must follow
     classically from the structure's own rules together with a maximal set
-    of monotonic rules consistent with them; all maximal sets are checked,
-    and :class:`CapacityError` is raised when the monotonic rules have more
+    of monotonic rules consistent with them. All maximal sets are checked,
+    and ``ctx.session`` answers the consistency checks that find them.
+    :class:`CapacityError` is raised when the monotonic rules have more
     subsets than ``ctx.limits.subset_cap``. Grading terms are skipped: they
     are never rule images.
     """
@@ -501,7 +503,7 @@ def check_theorem2(
     structure_base = frozenset(pi(r) for r in rules_of_structure(t, rules))
     failures = []
     bases = []
-    for extension in _maximal_consistent_extensions(structure_base, rules, limits):
+    for extension in _maximal_consistent_extensions(structure_base, rules, ctx):
         base = structure_base | {pi(r) for r in extension}
         bases.append(base)
         answers = entails_each(base, consequences, limits=limits, session=session)

@@ -15,9 +15,8 @@ components with disjoint atoms).
 
 One SAT core serves both: ``_Solver`` is DPLL with unit propagation over
 clauses pushed and popped in stack order. ``_solve`` runs it once over a
-fresh clause list: each seed of the kernel search's map, and each
-consistency check of a kernel search. A ``Session`` keeps one solver for a
-whole run, and with it
+fresh clause list, for each seed of the kernel search's map. A ``Session``
+keeps one solver for a whole run, and with it
 
 - a term table, which compiles each term once, in run-wide variable
   numbers, to its literal (or the constant it folds to), its definitional
@@ -29,11 +28,12 @@ whole run, and with it
   it;
 - a memo of every answer found, keyed ``(base, goal)``.
 
-The kernel search first asks the session whether the whole queried set is
-consistent, as the memoized question ``(q, ~true)`` when ``q``'s distinct
-atoms fit ``atom_cap``; a consistent set has no kernels, and the memo
-answers a repeated one. Otherwise it takes its members' clauses from the
-table and renumbers each component once to component-local variables.
+A session answers one question, entailment. Consistency is the entailment
+of ``FALSE`` (``~true``) read negated, so every consistency check of a
+kernel search is a memoized question ``(subset, ~true)`` to the session:
+first the whole queried set, when its distinct atoms fit ``atom_cap``,
+then each atom-connected component, then each grow and shrink step of the
+component's map.
 
 Nothing here keeps state between calls. One telescoping run owns one
 session (``RunContext.session``), which goes when the run's trace goes; a
@@ -45,11 +45,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError
 from .terms import TRUE, Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueTerm, render, subterms
+
+FALSE = Not(TRUE)  # the goal a base entails exactly when it is inconsistent
 
 # ---------------------------------------------------------------------------
 # The SAT core
@@ -345,13 +347,7 @@ class Session:
             solver.undo(self._trail_mark)
             solver.pop(self._pushed_mark)
 
-    # -- questions ---------------------------------------------------------
-
-    def satisfiable(self, base: frozenset[Term], limits: Limits) -> bool:
-        self._ensure_loaded(base)
-        if len(self._base_atoms) > limits.atom_cap:
-            raise CapacityError("atom count", limits.atom_cap, len(self._base_atoms))
-        return not self._base_false and self._consistent(None)
+    # -- the question ------------------------------------------------------
 
     def entails(self, base: frozenset[Term], goal: Term, limits: Limits) -> bool:
         """Whether ``base`` entails ``goal``, answered once per session.
@@ -381,7 +377,8 @@ def _frozen(ts: Iterable[Term]) -> frozenset[Term]:
 def satisfiable(
     ts: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS, session: Optional[Session] = None
 ) -> bool:
-    return (Session() if session is None else session).satisfiable(_frozen(ts), limits)
+    """True iff some valuation satisfies all of ``ts``: ``ts`` does not entail ``~true``."""
+    return not (Session() if session is None else session).entails(_frozen(ts), FALSE, limits)
 
 
 def entails(
@@ -499,33 +496,10 @@ def _components(entries: list[_Compiled]) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _local_blocks(entries: list[_Compiled]) -> tuple[int, list[Optional[list[list[int]]]]]:
-    """Each entry's clauses asserting it, in variables 1..n local to the entries.
+def _all_minimal_inconsistent(items: list[Term], session: Session, limits: Limits) -> list[frozenset[Term]]:
+    def consistent(picked: Iterable[int]) -> bool:
+        return not session.entails(frozenset(items[i] for i in picked), FALSE, limits)
 
-    Variables are renumbered in the entries' walk order, so the blocks are
-    the ones a walk of the entries alone would number. A block is None when
-    its entry folds to false.
-    """
-    local: dict[int, int] = {}
-    for entry in entries:
-        for v in entry.vars:
-            if v not in local:
-                local[v] = len(local) + 1
-    blocks: list[Optional[list[list[int]]]] = []
-    for entry in entries:
-        if entry.lit is False:
-            blocks.append(None)
-            continue
-        block = [[local[x] if x > 0 else -local[-x] for x in clause] for clause in entry.defs]
-        if entry.lit is not True:
-            block.append([local[entry.lit] if entry.lit > 0 else -local[-entry.lit]])
-        blocks.append(block)
-    return len(local), blocks
-
-
-def _all_minimal_inconsistent(
-    items: list[Term], consistent: Callable[[list[int]], bool]
-) -> list[frozenset[Term]]:
     n = len(items)
     clauses: list[list[int]] = []
     found: list[frozenset[Term]] = []
@@ -537,13 +511,13 @@ def _all_minimal_inconsistent(
         if consistent(picked):
             satisfied = set(picked)
             for i in range(n):
-                if i not in satisfied and consistent(sorted(satisfied | {i})):
+                if i not in satisfied and consistent(satisfied | {i}):
                     satisfied.add(i)
             clauses.append([i + 1 for i in range(n) if i not in satisfied])
         else:
             core = set(picked)
             for i in sorted(picked):
-                if i in core and len(core) > 1 and not consistent(sorted(core - {i})):
+                if i in core and len(core) > 1 and not consistent(core - {i}):
                     core.remove(i)
             found.append(frozenset(items[i] for i in core))
             clauses.append([-(i + 1) for i in sorted(core)])
@@ -562,14 +536,14 @@ def bottom_kernels(
     ``q`` is expected to be already expanded — its members include whatever
     extracted propositions should be visible to conflict detection — so the
     minimality test is plain classical consistency of the subset itself.
-    A ``q`` whose distinct atoms fit ``atom_cap`` is first checked whole,
-    as the session's memoized entailment ``(q, ~true)``, and a consistent
-    one has no kernels. Otherwise tautologies are pruned (they belong to no
-    minimal inconsistent set; the session answers the checks it has seen),
-    as is every atom-connected component that is consistent as a whole; a
-    component over ``atom_cap`` raises. Each component's clauses come from
-    the session's term table, renumbered once to the component's own
-    variables, and every consistency check solves the blocks of its subset.
+    Every consistency check is the session's memoized entailment
+    ``(subset, ~true)``. A ``q`` whose distinct atoms fit ``atom_cap`` is
+    first checked whole, and a consistent one has no kernels. Otherwise
+    tautologies are pruned (they belong to no minimal inconsistent set; the
+    session answers the checks it has seen), as is every atom-connected
+    component that is consistent as a whole; a component over ``atom_cap``
+    raises. The subsets a component's search checks lie inside it, so their
+    atoms fit the cap too.
     """
     session = Session() if session is None else session
     q_fs = _frozen(q)
@@ -577,26 +551,20 @@ def bottom_kernels(
     if missing:
         raise EngineError(f"kernel query term outside universe: {render(missing[0])}")
     q_atoms = {atom for t in q_fs for atom in session.compiled(t).atoms}
-    if len(q_atoms) <= limits.atom_cap and not session.entails(q_fs, Not(TRUE), limits):
+    if len(q_atoms) <= limits.atom_cap and not session.entails(q_fs, FALSE, limits):
         return frozenset()
     q_list = sorted(q_fs, key=render)
     candidates = [t for t in q_list if not entails(frozenset(), t, limits=limits, session=session)]
     entries = [session.compiled(t) for t in candidates]
     kernels: list[frozenset[Term]] = []
     for group in _components(entries):
-        members = [entries[i] for i in group]
-        atoms = {atom for entry in members for atom in entry.atoms}
+        atoms = {atom for i in group for atom in entries[i].atoms}
         if len(atoms) > limits.atom_cap:
             raise CapacityError("atom count", limits.atom_cap, len(atoms))
-        n, blocks = _local_blocks(members)
-
-        def consistent(picked: Iterable[int]) -> bool:
-            subset = [blocks[i] for i in picked]
-            return None not in subset and _solve(n, [c for b in subset for c in b]) is not None
-
-        if consistent(range(len(group))):
+        members = [candidates[i] for i in group]
+        if not session.entails(frozenset(members), FALSE, limits):
             continue
         if len(group) > limits.kernel_cap:
             raise CapacityError("kernel search base", limits.kernel_cap, len(group))
-        kernels.extend(_all_minimal_inconsistent([candidates[i] for i in group], consistent))
+        kernels.extend(_all_minimal_inconsistent(members, session, limits))
     return frozenset(Kernel(k) for k in kernels)

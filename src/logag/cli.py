@@ -3,7 +3,7 @@
 Subcommands::
 
     logag check THEORY --query TERM [--query TERM ...] [--level N]
-    logag trace THEORY [--max-level N] [--format text|json]
+    logag trace THEORY [--max-level N] [--format text|json] [--query TERM ...]
     logag args {enumerate|structures|translate|verify} RULES [--indexing FILE]
 
 Exit codes: 0 every query holds / every check passes, 1 some query fails,
@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     args_cmd.add_argument("action", choices=["enumerate", "structures", "translate", "verify"])
     args_cmd.add_argument("rules")
     args_cmd.add_argument("--indexing")
-    args_cmd.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
 

@@ -104,8 +104,10 @@ class RunContext:
     def memo(self) -> dict[tuple[frozenset[Term], Term], bool]:
         """The run's entailment answers, keyed ``(base, goal)``.
 
-        The kernel search's whole-set checks are among them, keyed
-        ``(expansion, ~true)``: true when the expansion is inconsistent.
+        The kernel search's consistency checks are among them, keyed
+        ``(subset, ~true)``: true when the subset is inconsistent. They
+        cover each whole expansion, each of its components and each subset
+        a component's search grows or shrinks.
         """
         return self.session.memo
 

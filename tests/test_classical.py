@@ -21,7 +21,7 @@ from logag import (
     relevant_universe,
     render,
 )
-from logag.classical import Session, _Solver, _solve, entails_each
+from logag.classical import FALSE, Session, _Solver, _solve, entails_each
 from oracles import brute_kernels, tt_entails, tt_satisfiable
 from conftest import random_term
 
@@ -378,7 +378,10 @@ def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsis
 
     Sets drawing on one to three two-atom groups are drawn, some of them
     again, under atom_cap 4: a set whose atoms go past it takes the
-    per-component path, the others are checked whole first.
+    per-component path, the others are checked whole first. Every
+    consistency check is a memoized question ``(subset, ~true)``, so each
+    kernel found is in the memo as inconsistent, and every such entry
+    agrees with the truth tables.
     """
     groups = (["a", "b"], ["c", "d"], ["e", "f"])
     limits = Limits(atom_cap=4)
@@ -395,8 +398,9 @@ def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsis
         got = {k.members for k in bottom_kernels(q, relevant_universe(q), limits=limits, session=session)}
         assert got == brute_kernels(q)
         assert_only_the_base_is_loaded(session)
-        whole = session.memo.get((q, T("~true")))
-        if whole is not None:
-            assert whole == (not tt_satisfiable(q))
+        assert all(session.memo.get((k, FALSE)) is True for k in got)
+        whole = session.memo.get((q, FALSE))
         outcomes.add((whole, bool(got)))
     assert {(False, False), (True, True), (None, False), (None, True)} <= outcomes
+    checks = [(base, answer) for (base, goal), answer in session.memo.items() if goal == FALSE]
+    assert all(answer == (not tt_satisfiable(base)) for base, answer in checks)

@@ -170,6 +170,12 @@ def test_args_verify_passes():
     assert out.count("PASS") == 4  # two structures, two checks each
 
 
+def test_args_has_no_format_option(capsys):
+    code, out = run("args", "verify", str(DATA / "penguin.rules"), "--format", "json")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_args_verify_with_indexing_override(tmp_path):
     override = tmp_path / "order.idx"
     override.write_text("INDEX: r8\nINDEX: r7\nINDEX: r7, r8\n")

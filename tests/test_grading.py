@@ -295,11 +295,12 @@ def test_fixpoint_detection(penguin_brother, ot1):
     assert level == 1
 
 
-def test_no_fixpoint_reported_for_oscillating_theory(penguin_rules_theory):
+def test_no_fixpoint_reported_within_levels_0_to_2_of_penguin_rules_theory(penguin_rules_theory):
     level, trace = find_fixpoint(penguin_rules_theory, "sum", "max", 3)
     assert level is None
     assert len(trace.levels) == 3
     assert not any(lv.fixpoint_reached for lv in trace.levels)
+    assert find_fixpoint(penguin_rules_theory, "sum", "max", 40)[0] == 3
 
 
 def test_inconsistent_theory_still_answers_classically():
