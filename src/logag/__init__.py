@@ -43,7 +43,7 @@ from .classical import (
 )
 from .grading import (
     Canon,
-    GradingChain,
+    GradeTable,
     LevelRecord,
     RunContext,
     TelescopeTrace,
@@ -52,7 +52,6 @@ from .grading import (
     fused_grade,
     graded_consequence,
     graded_consequences,
-    grading_chains,
     supported,
     survives,
     telescope_n,

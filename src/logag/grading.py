@@ -11,7 +11,8 @@ One telescoping step takes a base of believed propositions and
    fixed top theory, or propositions reachable through a grading chain whose
    outermost grading proposition the supported set entails (``supported``).
 
-``telescope_once`` takes the whole step and ``telescope_n`` iterates it.
+``telescope_once`` takes the whole step, where steps 2 and 3 read one
+``GradeTable`` of the expansion, and ``telescope_n`` iterates it.
 
 Grades fuse along a chain with the ``otimes`` operator and across chains
 with ``oplus``. At telescoping step i only chains of length at most i
@@ -75,14 +76,6 @@ class Canon:
 
 
 @dataclass(frozen=True)
-class GradingChain:
-    """Witness of a nesting G(..G(G(target, g1), g2).., gk) present in a set."""
-
-    target: Term
-    grades: tuple[GradeValue, ...]  # innermost first
-
-
-@dataclass(frozen=True)
 class RunContext:
     """What every step of one telescoping run shares.
 
@@ -113,52 +106,61 @@ class RunContext:
 
 
 # ---------------------------------------------------------------------------
-# Grading chains
-
-
-def _chain_witnesses(q: frozenset[Term]) -> dict[Term, set[Term]]:
-    """For each proposition, the grading-term members of ``q`` that bury it.
-
-    Walking the grading spine of a member G(G(f,2),3) buries ``G(f,2)`` and
-    ``f``. Support needs the member itself: it tests entailment of the
-    chain's outermost grading proposition.
-    """
-    table: dict[Term, set[Term]] = {}
-    for t in q:
-        cursor = t
-        while isinstance(cursor, Grade):
-            cursor = cursor.inner
-            table.setdefault(cursor, set()).add(t)
-    return table
-
-
-def grading_chains(p: Term, q: Iterable[Term]) -> frozenset[GradingChain]:
-    """Every grading chain of ``p`` witnessed by a member of ``q``.
-
-    Walks each member's grading spine and keeps the depths that bury ``p``.
-    """
-    chains = set()
-    for t in q:
-        outer_to_inner: list[GradeValue] = []
-        while isinstance(t, Grade):
-            outer_to_inner.append(t.grade)
-            t = t.inner
-            if t == p:
-                chains.add(GradingChain(p, tuple(reversed(outer_to_inner))))
-    return frozenset(chains)
+# Grades
 
 
 def fused_grade(p: Term, q: Iterable[Term], canon: Canon) -> GradeValue:
     """Combine the grades of every chain of ``p`` in ``q`` within the level.
 
-    Chains longer than ``canon.level`` are not yet in play at that level and
-    are ignored; raises :class:`UngradedError` when no chain qualifies.
+    A chain of ``p`` is the grades a member's grading spine carries on its
+    way down to ``p``, as in G(..G(G(p, g1), g2).., gk). Chains longer than
+    ``canon.level`` are not yet in play at that level and are ignored;
+    raises :class:`UngradedError` when no chain qualifies.
     """
-    chains = [c for c in grading_chains(p, q) if len(c.grades) <= canon.level]
-    if not chains:
+    otimes = OTIMES[canon.otimes]
+    per_chain = []
+    for t in q:
+        grades: list[GradeValue] = []
+        while isinstance(t, Grade) and len(grades) < canon.level:
+            grades.append(t.grade)
+            t = t.inner
+            if t == p:
+                per_chain.append(otimes(grades))
+                break
+    if not per_chain:
         raise UngradedError(f"{render(p)} has no grading chain within level {canon.level}")
-    per_chain = sorted(OTIMES[canon.otimes](list(c.grades)) for c in chains)
     return OPLUS[canon.oplus](per_chain)
+
+
+class GradeTable:
+    """One step's view of the expansion's grading spines, walked once.
+
+    ``graded`` holds the propositions with an immediate grader G(p, g) in
+    the expansion; a proposition buried deeper is not graded yet. ``buriers``
+    maps each buried proposition to the members whose spine reaches it:
+    walking G(G(f,2),3) buries ``G(f,2)`` and ``f``. ``fused`` fuses a
+    proposition's chains at ``canon.level`` on first request and keeps the
+    grade for the rest of the step.
+    """
+
+    def __init__(self, q: Iterable[Term], canon: Canon):
+        self.canon = canon
+        self.graded: set[Term] = set()
+        self.buriers: dict[Term, list[Term]] = {}
+        self._fused: dict[Term, GradeValue] = {}
+        for t in q:
+            if isinstance(t, Grade):
+                self.graded.add(t.inner)
+            cursor = t
+            while isinstance(cursor, Grade):
+                cursor = cursor.inner
+                self.buriers.setdefault(cursor, []).append(t)
+
+    def fused(self, p: Term) -> GradeValue:
+        grade = self._fused.get(p)
+        if grade is None:
+            grade = self._fused[p] = fused_grade(p, self.buriers.get(p, ()), self.canon)
+        return grade
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +181,8 @@ def depth1_expansion(base: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     return frozenset(filter_rep | released)
 
 
-def survives(p: Term, x: Kernel, q: Iterable[Term], ctx: RunContext, step: int) -> bool:
-    """Whether kernel member ``p`` withstands the conflict ``x`` at ``step``.
+def survives(p: Term, x: Kernel, table: GradeTable, ctx: RunContext) -> bool:
+    """Whether kernel member ``p`` withstands the conflict ``x`` at the step.
 
     A member survives if it is ungraded, or if the kernel pins the blame on
     another member: one whose negation the top theory already entails (that
@@ -188,39 +190,38 @@ def survives(p: Term, x: Kernel, q: Iterable[Term], ctx: RunContext, step: int) 
     is kicked out on its own account), or one outside the top theory's
     consequences that is ungraded or carries a strictly smaller fused grade.
     Members with equal fused grades cannot blame each other, so both fall.
-    Grades fuse over the chains no longer than ``step``.
+    Graded means having an immediate grader in the expansion, and grades
+    fuse over the chains no longer than the step; ``table`` holds both.
     """
-    q_fs = q if isinstance(q, frozenset) else frozenset(q)
-    graded = {t.inner for t in q_fs if isinstance(t, Grade)}
-    if p not in graded:
+    if p not in table.graded:
         return True
-    canon = Canon(ctx.otimes, ctx.oplus, step)
-    p_grade = fused_grade(p, q_fs, canon)
+    p_grade = table.fused(p)
     for other in x.members:
         if other != p and entails(ctx.top, Not(other), limits=ctx.limits, session=ctx.session):
             return True
         if entails(ctx.top, other, limits=ctx.limits, session=ctx.session):
             continue
-        if other not in graded:
+        if other not in table.graded:
             return True
-        if fused_grade(other, q_fs, canon) < p_grade:
+        if table.fused(other) < p_grade:
             return True
     return False
 
 
-def supported(q: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
+def supported(q: Iterable[Term], table: GradeTable, ctx: RunContext) -> frozenset[Term]:
     """Least fixpoint of top-theory consequence plus chain-borne support.
 
     Starts from every universe term the top theory entails, then repeatedly
-    admits members of ``q`` having some grading chain in ``q`` whose
-    outermost grading proposition the supported set already entails. Members
-    of ``q`` with neither route (for instance consequences that only ever
-    followed from a now-evicted proposition) drop out here.
+    admits members of ``q`` buried by some member of ``q`` that the
+    supported set already entails: the outermost grading proposition of a
+    chain. ``table`` lists the buriers; it may be built from a superset of
+    ``q``, such as the step's expansion. Members of ``q`` with neither route (for
+    instance consequences that only ever followed from a now-evicted
+    proposition) drop out here.
     """
     q_fs = q if isinstance(q, frozenset) else frozenset(q)
     terms = ctx.universe.terms
     result = set(compress(terms, entails_each(ctx.top, terms, limits=ctx.limits, session=ctx.session)))
-    witnesses = _chain_witnesses(q_fs)
     pending = sorted((p for p in q_fs if p not in result), key=render)
     changed = True
     while changed and pending:
@@ -228,9 +229,10 @@ def supported(q: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
         snapshot = frozenset(result)
         still_pending = []
         for p in pending:
-            tops = witnesses.get(p, ())
-            if any(w in snapshot or entails(snapshot, w, limits=ctx.limits, session=ctx.session)
-                   for w in tops):
+            if any(
+                w in q_fs and (w in snapshot or entails(snapshot, w, limits=ctx.limits, session=ctx.session))
+                for w in table.buriers.get(p, ())
+            ):
                 result.add(p)
                 changed = True
             else:
@@ -268,15 +270,13 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
     new base generates the same filter as the old one. Nothing here depends
     on how many levels the run goes on to, so traces are prefix-consistent.
     """
-    step = index + 1
     expansion = depth1_expansion(base, ctx)
     kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
+    table = GradeTable(expansion, Canon(ctx.otimes, ctx.oplus, index + 1))
     survivors = frozenset(
-        p
-        for p in expansion
-        if all(survives(p, x, expansion, ctx, step) for x in kernels if p in x.members)
+        p for p in expansion if all(survives(p, x, table, ctx) for x in kernels if p in x.members)
     )
-    next_base = supported(survivors, ctx)
+    next_base = supported(survivors, table, ctx)
     fixpoint = mutually_entailing(next_base, base, limits=ctx.limits, session=ctx.session)
     return LevelRecord(index, base, expansion, kernels, survivors, next_base, fixpoint)
 

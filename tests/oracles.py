@@ -2,14 +2,17 @@
 
 These deliberately avoid the engine's code paths: entailment is exhaustive
 truth-table evaluation, kernel enumeration is brute-force subset search,
-grading chains are peeled layer by layer, and argument structures are
+grading chains are peeled layer by layer and fused as peeled, survival
+follows the rule ``survives`` documents, and argument structures are
 checked against their four defining conditions one by one. Slow and simple
 on purpose.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from logag.arguments import Argument, RuleSet, parse_rules
+from logag.errors import UngradedError
 from logag.terms import And, Atom, Grade, GradeEq, Less, Not, Or, Term, TrueTerm, render
 
 
@@ -90,6 +93,75 @@ def peeled_chains(p: Term, q) -> frozenset:
         found.update((p, grades) for t, grades in peeled if t == p)
         layer = peeled
     return frozenset(found)
+
+
+OTIMES = {
+    "sum": lambda gs: sum(gs, Fraction(0)),
+    "mean": lambda gs: sum(gs, Fraction(0)) / len(gs),
+    "min": min,
+    "max": max,
+}
+OPLUS = {"max": max, "min": min}
+
+
+def fused_grade(p: Term, q, canon):
+    """Each chain of ``p`` in ``q`` no longer than ``canon.level`` fused by
+    ``otimes``, then across chains by ``oplus``; raises
+    :class:`UngradedError` when no chain qualifies."""
+    chains = [grades for _, grades in peeled_chains(p, q) if len(grades) <= canon.level]
+    if not chains:
+        raise UngradedError(render(p))
+    return OPLUS[canon.oplus]([OTIMES[canon.otimes](list(grades)) for grades in chains])
+
+
+def _atoms(t: Term) -> set:
+    acc: list = []
+    _collect_atoms(t, acc)
+    return set(acc)
+
+
+def _entails(base, goal: Term) -> bool:
+    """``tt_entails`` for a consistent base, reading only the part of it that
+    shares atoms with ``goal``, transitively: the rest has a model of its own."""
+    atoms = {t: _atoms(t) for t in base}
+    seen, part = _atoms(goal), []
+    linked = True
+    while linked:
+        linked = [t for t in atoms if atoms[t] & seen]
+        for t in linked:
+            seen |= atoms.pop(t)
+        part += linked
+    return tt_entails(part, goal)
+
+
+def survivors(expansion, kernels, top, canon) -> frozenset:
+    """The members of ``expansion`` that survive every kernel holding them.
+
+    A member survives a kernel when it has no immediate grader ``G(p, g)``
+    in the expansion, or when another member is to blame: one whose
+    negation ``top`` entails, or one that ``top`` does not entail and that
+    has no immediate grader or a strictly smaller fused grade. ``top`` is
+    consistent, and grades fuse over chains no longer than ``canon.level``.
+    """
+    graded = {t.inner for t in expansion if isinstance(t, Grade)}
+
+    def grade(p):
+        return fused_grade(p, expansion, canon)
+
+    def blamed(o, p):
+        if o == p:
+            return False
+        if _entails(top, Not(o)):
+            return True
+        if _entails(top, o):
+            return False
+        return o not in graded or grade(o) < grade(p)
+
+    return frozenset(
+        p
+        for p in expansion
+        if all(p not in graded or any(blamed(o, p) for o in k) for k in kernels if p in k)
+    )
 
 
 def validate_structure(rules: RuleSet, args: frozenset) -> bool:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,6 +38,7 @@ from logag import (
     wffs,
 )
 from logag.arguments import FACT, MONOTONIC, NONMONOTONIC
+import oracles
 from oracles import random_rule_system, validate_structure
 
 
@@ -422,3 +424,51 @@ def test_fused_grade_of_chained_rules_is_depth(penguin_rules):
     assert fused_grade(r7_image, frozenset(expansion), canon3) == 3
     assert fused_grade(r7_image, frozenset(expansion), Canon("sum", "max", 2)) == 2
     assert fused_grade(r7_image, frozenset(expansion), Canon("sum", "max", 1)) == 1
+
+
+def test_survivors_of_translated_systems_match_the_survival_oracle():
+    limits = Limits(atom_cap=256)
+    for seed in range(60):
+        rules = random_rule_system(random.Random(seed))
+        try:
+            theory = translate(rules, default_indexing(rules, limits), limits)
+        except EngineError:
+            continue  # inconsistent monotonic part
+        for record in telescope_n(theory, Canon("sum", "max", 3), (), limits).levels:
+            kernels = [k.members for k in record.kernels]
+            canon = Canon("sum", "max", record.index + 1)
+            expected = oracles.survivors(record.expansion, kernels, theory.terms, canon)
+            assert record.survivors == expected, (seed, record.index)
+
+
+# Structures (by index in ``verify``'s order) failing each theorem, per seed
+# of ``random_rule_system(random.Random(seed))``, at ``atom_cap`` 256. They are
+# ROADMAP item 1's known defects: every Theorem 1 failure is a believed rule
+# image evicted by a tie with a twin-cancelled image (mechanism (a)), and
+# seed 140's Theorem 2 failure is the precondition case.
+SWEEP_THEOREM1_FAILURES = {
+    3: [1, 2, 3, 4], 9: [1, 2], 11: [1, 2, 3], 14: [1], 20: [2], 22: [2, 3], 24: [1, 2, 3, 4],
+    28: [2, 3, 4], 29: [1, 2], 30: [1], 31: [1, 2], 35: [1], 39: [1, 2], 43: [1, 2, 3], 44: [1],
+    47: [1], 48: [1, 3], 55: [1, 2], 56: [1, 2], 65: [1], 66: [1], 67: [1], 70: [1], 72: [1],
+    85: [1, 2], 87: [1], 94: [1], 97: [1], 101: [1], 103: [1], 105: [1], 111: [1, 2],
+    129: [1, 2, 3, 4], 140: [1], 145: [2], 146: [2], 148: [1], 152: [1], 155: [1, 2, 3, 4, 5],
+    156: [1], 158: [1], 159: [2, 3, 4], 160: [1, 2], 169: [1], 172: [1], 176: [1],
+    180: [1, 2, 3, 4], 182: [1], 184: [1], 189: [1, 2, 3, 4, 5], 191: [1, 2, 3],
+}
+SWEEP_THEOREM2_FAILURES = {140: [1]}
+
+
+def test_seeded_theorem_sweep_fails_no_check_that_passes_today():
+    known = {
+        (seed, i, theorem)
+        for theorem, table in ((1, SWEEP_THEOREM1_FAILURES), (2, SWEEP_THEOREM2_FAILURES))
+        for seed, indices in table.items()
+        for i in indices
+    }
+    limits = Limits(atom_cap=256)
+    failing = set()
+    for seed in range(200):
+        rules = random_rule_system(random.Random(seed))
+        for i, (_, r1, r2) in enumerate(verify(rules, default_indexing(rules, limits), limits)):
+            failing |= {(seed, i, theorem) for theorem, r in ((1, r1), (2, r2)) if not r.passed}
+    assert failing <= known, sorted(failing - known)

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_term
-from oracles import peeled_chains
+import oracles
+from conftest import random_term, random_theory
 
 from logag import (
     Canon,
     Grade,
-    GradingChain,
+    GradeTable,
     Kernel,
     RunContext,
     UngradedError,
@@ -20,7 +20,6 @@ from logag import (
     fused_grade,
     graded_consequence,
     graded_consequences,
-    grading_chains,
     mutually_entailing,
     parse_term as T,
     parse_theory,
@@ -48,27 +47,15 @@ def context(theory, otimes="mean", oplus="max", queries=()):
 # -- chains and fusion -------------------------------------------------------
 
 
-def test_single_chain_from_nested_grading():
-    q = terms("G(G(f, 2), 3)", "p")
-    assert grading_chains(T("f"), q) == {
-        GradingChain(T("f"), (Fraction(2), Fraction(3)))
-    }
+OPERATORS = [(otimes, oplus) for otimes in ("sum", "mean", "min", "max") for oplus in ("max", "min")]
 
 
-def test_no_chain_for_ungraded():
-    assert grading_chains(T("p"), terms("q", "G(r, 1)")) == frozenset()
+def table(q, ctx, step):
+    return GradeTable(q, Canon(ctx.otimes, ctx.oplus, step))
 
 
-def test_every_present_nesting_yields_a_chain():
-    q = terms("G(f, 2)", "G(G(f, 2), 3)")
-    assert grading_chains(T("f"), q) == {
-        GradingChain(T("f"), (Fraction(2),)),
-        GradingChain(T("f"), (Fraction(2), Fraction(3))),
-    }
-
-
-def test_grading_chains_match_the_witness_table(rng):
-    for _ in range(60):
+def test_fused_grade_matches_the_fusion_oracle(rng):
+    for _ in range(40):
         q = set()
         for _ in range(rng.randint(1, 6)):
             t = rng.choice([T("a"), T("~a"), T("a | b")] + [random_term(rng, ["a", "b"], 2, True)])
@@ -76,10 +63,16 @@ def test_grading_chains_match_the_witness_table(rng):
                 t = Grade(t, Fraction(rng.randint(1, 3)))
             q.add(t)
         candidates = {s for t in q for s in subterms(t)} | {T("c"), T("G(c, 1)"), T("~b")}
-        for p in candidates:
-            expected = peeled_chains(p, q)
-            assert {(c.target, c.grades) for c in grading_chains(p, q)} == expected
-            assert {(c.target, c.grades) for c in grading_chains(p, frozenset(q))} == expected
+        for canon in (Canon(*ops, level) for ops in OPERATORS for level in range(6)):
+            grades = GradeTable(q, canon)
+            for p in candidates:
+                try:
+                    expected = oracles.fused_grade(p, q, canon)
+                except UngradedError:
+                    with pytest.raises(UngradedError):
+                        fused_grade(p, q, canon)
+                    continue
+                assert fused_grade(p, q, canon) == grades.fused(p) == expected, (p, q, canon)
 
 
 def test_fused_grade_mean_max():
@@ -144,14 +137,15 @@ def level2_scene(penguin_brother):
 def test_ungraded_member_survives(level2_scene):
     ctx, q2, _ = level2_scene
     kernel = Kernel(terms("f", "~f"))
-    assert survives(T("~f"), kernel, q2, ctx, 2)
+    assert survives(T("~f"), kernel, table(q2, ctx, 2), ctx)
 
 
 def test_weaker_graded_member_falls(level2_scene):
     ctx, q2, _ = level2_scene
     kernel = Kernel(terms("p", "~p | ~f", "f"))
-    assert not survives(T("p"), kernel, q2, ctx, 2)
-    assert survives(T("f"), kernel, q2, ctx, 2)
+    grades = table(q2, ctx, 2)
+    assert not survives(T("p"), kernel, grades, ctx)
+    assert survives(T("f"), kernel, grades, ctx)
 
 
 def test_equal_grades_fall_together():
@@ -159,8 +153,9 @@ def test_equal_grades_fall_together():
     ctx = context(th, "sum", "max")
     q = depth1_expansion(th.terms, ctx)
     kernel = Kernel(terms("a", "b", "~a | ~b"))
-    assert not survives(T("a"), kernel, q, ctx, 1)
-    assert not survives(T("b"), kernel, q, ctx, 1)
+    grades = table(q, ctx, 1)
+    assert not survives(T("a"), kernel, grades, ctx)
+    assert not survives(T("b"), kernel, grades, ctx)
 
 
 def test_survivors_level2(level2_scene):
@@ -181,21 +176,51 @@ def test_symmetric_ungraded_pair_both_survive():
     th = parse_theory("q.\n")
     ctx = context(th, "sum", "max", queries=[T("p"), T("~p")])
     q = frozenset({T("p"), T("~p"), T("q")})
-    assert survives(T("p"), Kernel(terms("p", "~p")), q, ctx, 1)
-    assert survives(T("~p"), Kernel(terms("p", "~p")), q, ctx, 1)
+    assert survives(T("p"), Kernel(terms("p", "~p")), table(q, ctx, 1), ctx)
+    assert survives(T("~p"), Kernel(terms("p", "~p")), table(q, ctx, 1), ctx)
+
+
+# Theory 44 of the random-batch stream for seed 1: ``~p5`` is buried three
+# layers deep in the top theory and two in its first expansion.
+BURIED_THEORY = (
+    "G((p4 | p1) & p5, 4).\nG(G(G(~p5, 2), 3), 1).\np4.\np7.\np9.\n~(p5 | p3).\n~p5 | (p9 | p7).\n"
+)
+
+
+def test_a_proposition_without_an_immediate_grader_is_ungraded():
+    th = parse_theory(BURIED_THEORY)
+    ctx = context(th, "sum", "max")
+    q = depth1_expansion(th.terms, ctx)
+    grades = table(q, ctx, 1)
+    assert T("~p5") in q and T("~p5") in grades.buriers and T("~p5") not in grades.graded
+    kernel = Kernel(terms("(p4 | p1) & p5", "~p5"))
+    assert survives(T("~p5"), kernel, grades, ctx)
+    assert not survives(T("(p4 | p1) & p5"), kernel, grades, ctx)
+
+
+def test_survivors_match_the_survival_oracle(rng):
+    for _ in range(40):
+        th = random_theory(rng, n_terms=rng.randint(2, 5), atoms=["a", "b", "c"], allow_grades=True)
+        otimes, oplus = rng.choice(OPERATORS)
+        for record in telescope_n(th, Canon(otimes, oplus, 3)).levels:
+            kernels = [k.members for k in record.kernels]
+            canon = Canon(otimes, oplus, record.index + 1)
+            assert record.survivors == oracles.survivors(record.expansion, kernels, th.terms, canon)
 
 
 # -- support -----------------------------------------------------------------
 
 
 def test_top_theory_is_self_supported(penguin_brother):
-    assert supported(penguin_brother.terms, context(penguin_brother)) == penguin_brother.terms
+    ctx = context(penguin_brother)
+    q = penguin_brother.terms
+    assert supported(q, table(q, ctx, 1), ctx) == q
 
 
 def test_support_drops_orphaned_consequences(level2_scene):
     ctx, _, step = level2_scene
     survivors = step.survivors
-    got = supported(survivors, ctx)
+    got = supported(survivors, table(step.expansion, ctx, 2), ctx)
     assert got == step.supported
     assert got == survivors - {T("~f"), T("w")}
 
@@ -203,17 +228,18 @@ def test_support_drops_orphaned_consequences(level2_scene):
 def test_supported_set_is_top_closure_plus_graded_members(level2_scene):
     ctx, _, step = level2_scene
     survivors = step.survivors
-    got = supported(survivors, ctx)
+    got = supported(survivors, table(survivors, ctx, 2), ctx)
     top_part = {u for u in ctx.universe.terms if entails(ctx.top, u)}
     chain_part = got - top_part
-    assert all(grading_chains(p, survivors) for p in chain_part)
+    assert all(oracles.peeled_chains(p, survivors) for p in chain_part)
 
 
 def test_support_reaches_through_every_layer_of_a_member():
     # f's only witness buries it two layers deep, and the layer between is
     # not in the set.
     theory = parse_theory("theory deep.\nG(G(f, 2), 3).\n")
-    assert T("f") in supported(terms("G(G(f, 2), 3)", "f"), context(theory))
+    q, ctx = terms("G(G(f, 2), 3)", "f"), context(theory)
+    assert T("f") in supported(q, table(q, ctx, 1), ctx)
 
 
 # -- telescoping -------------------------------------------------------------
@@ -308,6 +334,12 @@ def test_inconsistent_theory_still_answers_classically():
     for n in (0, 1, 3):
         assert graded_consequence(th, Canon("sum", "max", n), T("q | r"))
         assert graded_consequence(th, Canon("sum", "max", n), T("~q"))
+
+
+def test_graded_consequences_with_a_deeply_buried_conflict_member():
+    queries = [T("p4"), T("p0"), T("p7")]
+    got = graded_consequences(parse_theory(BURIED_THEORY), Canon("sum", "max", 4), queries)
+    assert got == {T("p4"): True, T("p0"): False, T("p7"): True}
 
 
 def test_ot1_level1(ot1):
