@@ -54,15 +54,70 @@ def table(q, ctx, step):
     return GradeTable(q, Canon(ctx.otimes, ctx.oplus, step))
 
 
+def test_single_chain_from_nested_grading():
+    q = terms("G(G(f, 2), 3)", "p")
+    grades = GradeTable(q, Canon("sum", "max", 2))
+    assert grades.buriers[T("f")] == [T("G(G(f, 2), 3)")]
+    assert T("f") not in grades.graded and T("G(f, 2)") in grades.graded
+    assert grades.fused(T("f")) == 5
+    assert fused_grade(T("f"), q, Canon("min", "max", 2)) == 2
+    assert fused_grade(T("f"), q, Canon("max", "max", 2)) == 3
+    with pytest.raises(UngradedError):
+        fused_grade(T("f"), q, Canon("sum", "max", 1))
+
+
+def test_no_chain_for_ungraded():
+    q = terms("q", "G(r, 1)")
+    grades = GradeTable(q, Canon("sum", "max", 5))
+    assert T("p") not in grades.buriers and T("p") not in grades.graded
+    with pytest.raises(UngradedError):
+        grades.fused(T("p"))
+
+
+def test_every_present_nesting_yields_a_chain():
+    q = terms("G(f, 2)", "G(G(f, 2), 3)")
+    assert set(GradeTable(q, Canon("sum", "max", 2)).buriers[T("f")]) == q
+    # The short chain (2) and the long one (2, 3) are both fused.
+    assert fused_grade(T("f"), q, Canon("sum", "max", 2)) == 5
+    assert fused_grade(T("f"), q, Canon("sum", "min", 2)) == 2
+    assert fused_grade(T("f"), q, Canon("sum", "max", 1)) == 2
+
+
+def random_towers(rng):
+    q = set()
+    for _ in range(rng.randint(1, 6)):
+        t = rng.choice([T("a"), T("~a"), T("a | b")] + [random_term(rng, ["a", "b"], 2, True)])
+        for _ in range(rng.randint(0, 4)):
+            t = Grade(t, Fraction(rng.randint(1, 3)))
+        q.add(t)
+    candidates = {s for t in q for s in subterms(t)} | {T("c"), T("G(c, 1)"), T("~b")}
+    return q, candidates
+
+
+def test_grading_chains_match_the_witness_table(rng):
+    for _ in range(60):
+        q, candidates = random_towers(rng)
+        for members in (q, frozenset(q)):
+            grades = GradeTable(members, Canon("sum", "max", 5))
+            for p in candidates:
+                chains = oracles.peeled_chains(p, q)
+                assert (p in grades.graded) == any(len(g) == 1 for _, g in chains), (p, q)
+                buriers = grades.buriers.get(p, [])
+                assert set(buriers) == {m for m in q if oracles.peeled_chains(p, {m})}, (p, q)
+                # Each burier carries exactly one chain of p: the grades on its spine.
+                assert sorted(g for m in buriers for _, g in oracles.peeled_chains(p, {m})) == sorted(
+                    g for _, g in chains
+                )
+                for m in buriers:
+                    ((_, g),) = oracles.peeled_chains(p, {m})
+                    assert fused_grade(p, [m], Canon("sum", "max", len(g))) == sum(g)
+                    with pytest.raises(UngradedError):
+                        fused_grade(p, [m], Canon("sum", "max", len(g) - 1))
+
+
 def test_fused_grade_matches_the_fusion_oracle(rng):
     for _ in range(40):
-        q = set()
-        for _ in range(rng.randint(1, 6)):
-            t = rng.choice([T("a"), T("~a"), T("a | b")] + [random_term(rng, ["a", "b"], 2, True)])
-            for _ in range(rng.randint(0, 4)):
-                t = Grade(t, Fraction(rng.randint(1, 3)))
-            q.add(t)
-        candidates = {s for t in q for s in subterms(t)} | {T("c"), T("G(c, 1)"), T("~b")}
+        q, candidates = random_towers(rng)
         for canon in (Canon(*ops, level) for ops in OPERATORS for level in range(6)):
             grades = GradeTable(q, canon)
             for p in candidates:
