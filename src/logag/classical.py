@@ -4,7 +4,7 @@ Grading propositions are opaque boolean atoms here: ``G(p, 2)`` is a single
 atom with no imposed logical relation to ``p``, so ``{G(p, 2)}`` does not
 entail ``p`` and ``{G(p, 2), G(~p, 2)}`` is consistent. Grade-order atoms
 (``2 < 3``, ``2 == 2``) are evaluated to truth constants before boolean
-reasoning. Filters are never materialized: membership of a goal in the
+reasoning. Filters are not materialized here: membership of a goal in the
 filter of a base is the decision procedure ``entails(base, goal)``.
 
 Kernel enumeration returns every subset-minimal classically inconsistent
@@ -537,19 +537,21 @@ def bottom_kernels(
     extracted propositions should be visible to conflict detection — so the
     minimality test is plain classical consistency of the subset itself.
     Every consistency check is the session's memoized entailment
-    ``(subset, ~true)``. A ``q`` whose distinct atoms fit ``atom_cap`` is
-    first checked whole, and a consistent one has no kernels. Otherwise
-    tautologies are pruned (they belong to no minimal inconsistent set; the
-    session answers the checks it has seen), as is every atom-connected
-    component that is consistent as a whole; a component over ``atom_cap``
-    raises. The subsets a component's search checks lie inside it, so their
-    atoms fit the cap too.
+    ``(subset, ~true)``. A ``q`` the memo holds as consistent, or whose
+    atoms fit ``atom_cap`` and that is consistent when checked whole, has no
+    kernels. Otherwise tautologies are pruned (they belong to no minimal
+    inconsistent set; the session answers the checks it has seen), as is
+    every atom-connected component that is consistent as a whole; a
+    component over ``atom_cap`` raises. The subsets a component's search
+    checks lie inside it, so their atoms fit the cap too.
     """
     session = Session() if session is None else session
     q_fs = _frozen(q)
-    missing = sorted((t for t in q_fs if t not in universe), key=render)
-    if missing:
-        raise EngineError(f"kernel query term outside universe: {render(missing[0])}")
+    if not q_fs <= universe.term_set:
+        missing = min(q_fs - universe.term_set, key=render)
+        raise EngineError(f"kernel query term outside universe: {render(missing)}")
+    if session.memo.get((q_fs, FALSE)) is False:
+        return frozenset()
     q_atoms = {atom for t in q_fs for atom in session.compiled(t).atoms}
     if len(q_atoms) <= limits.atom_cap and not session.entails(q_fs, FALSE, limits):
         return frozenset()

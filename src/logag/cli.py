@@ -42,11 +42,19 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 
+def count(text: str) -> int:
+    """A level or a cap: a non-negative int, or a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="logag")
     caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--atom-cap", type=int, default=DEFAULT_LIMITS.atom_cap)
-    caps.add_argument("--depth-cap", type=int, default=DEFAULT_LIMITS.depth_cap)
+    caps.add_argument("--atom-cap", type=count, default=DEFAULT_LIMITS.atom_cap)
+    caps.add_argument("--depth-cap", type=count, default=DEFAULT_LIMITS.depth_cap)
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser(
@@ -54,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("theory")
     check.add_argument("--query", action="append", required=True)
-    check.add_argument("--level", type=int, default=1)
+    check.add_argument("--level", type=count, default=1)
     check.add_argument("--otimes", choices=["sum", "mean", "min", "max"], default="sum")
     check.add_argument("--oplus", choices=["max", "min"], default="max")
     check.add_argument("--format", choices=["text", "json"], default="text")
@@ -63,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace", parents=[caps], help="print the per-level telescoping trace"
     )
     trace.add_argument("theory")
-    trace.add_argument("--max-level", type=int, default=4)
+    trace.add_argument("--max-level", type=count, default=4)
     trace.add_argument("--otimes", choices=["sum", "mean", "min", "max"], default="sum")
     trace.add_argument("--oplus", choices=["max", "min"], default="max")
     trace.add_argument("--format", choices=["text", "json"], default="text")

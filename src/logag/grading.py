@@ -24,7 +24,8 @@ instead of growing monotonically.
 
 Finite bases stand in for filters throughout: the expansion step represents
 the filter of the current base by every universe term it entails, so two
-bases generating the same filter telescope identically.
+bases generating the same filter telescope identically. The run keeps one
+filter per base (``RunContext.filter``), asked for once.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class RunContext:
     order is the numeric order on exact rationals, the single total order
     the grade sort carries here. ``session`` is the run's SAT session: its
     term table, its loaded base and its memo of every entailment answer the
-    run has found; it lives as long as the context.
+    run has found. ``filters`` maps each base the run asks ``filter`` about
+    to its filter, the universe terms it entails; both live with the context.
     """
 
     top: frozenset[Term]
@@ -92,6 +94,17 @@ class RunContext:
     oplus: str
     limits: Limits = DEFAULT_LIMITS
     session: Session = field(default_factory=Session, compare=False, repr=False)
+    filters: dict[frozenset[Term], frozenset[Term]] = field(default_factory=dict, compare=False, repr=False)
+
+    def filter(self, base: Iterable[Term]) -> frozenset[Term]:
+        """The universe terms ``base`` entails, asked once per base per run."""
+        base = base if isinstance(base, frozenset) else frozenset(base)
+        rep = self.filters.get(base)
+        if rep is None:
+            terms = self.universe.terms
+            rep = frozenset(compress(terms, entails_each(base, terms, limits=self.limits, session=self.session)))
+            self.filters[base] = rep
+        return rep
 
     @property
     def memo(self) -> dict[tuple[frozenset[Term], Term], bool]:
@@ -175,10 +188,8 @@ def depth1_expansion(base: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     inside it. Deeper content stays buried until later steps make its
     grading term a member in its own right.
     """
-    terms = ctx.universe.terms
-    filter_rep = set(compress(terms, entails_each(base, terms, limits=ctx.limits, session=ctx.session)))
-    released = {g.inner for g in filter_rep if isinstance(g, Grade)}
-    return frozenset(filter_rep | released)
+    filter_rep = ctx.filter(base)
+    return filter_rep | {g.inner for g in filter_rep if isinstance(g, Grade)}
 
 
 def survives(p: Term, x: Kernel, table: GradeTable, ctx: RunContext) -> bool:
@@ -199,7 +210,7 @@ def survives(p: Term, x: Kernel, table: GradeTable, ctx: RunContext) -> bool:
     for other in x.members:
         if other != p and entails(ctx.top, Not(other), limits=ctx.limits, session=ctx.session):
             return True
-        if entails(ctx.top, other, limits=ctx.limits, session=ctx.session):
+        if other in ctx.filter(ctx.top):
             continue
         if other not in table.graded:
             return True
@@ -220,8 +231,7 @@ def supported(q: Iterable[Term], table: GradeTable, ctx: RunContext) -> frozense
     proposition) drop out here.
     """
     q_fs = q if isinstance(q, frozenset) else frozenset(q)
-    terms = ctx.universe.terms
-    result = set(compress(terms, entails_each(ctx.top, terms, limits=ctx.limits, session=ctx.session)))
+    result = set(ctx.filter(ctx.top))
     pending = sorted((p for p in q_fs if p not in result), key=render)
     changed = True
     while changed and pending:
@@ -277,7 +287,7 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
         p for p in expansion if all(survives(p, x, table, ctx) for x in kernels if p in x.members)
     )
     next_base = supported(survivors, table, ctx)
-    fixpoint = mutually_entailing(next_base, base, limits=ctx.limits, session=ctx.session)
+    fixpoint = next_base == base or mutually_entailing(next_base, base, limits=ctx.limits, session=ctx.session)
     return LevelRecord(index, base, expansion, kernels, survivors, next_base, fixpoint)
 
 

@@ -7,6 +7,7 @@ from logag import (
     And,
     Atom,
     CapacityError,
+    EngineError,
     Grade,
     Kernel,
     Limits,
@@ -361,16 +362,27 @@ def test_repeated_consistent_set_is_answered_from_the_memo(monkeypatch):
     session = Session()
     assert bottom_kernels(q, u, session=session) == frozenset()
     assert session.memo[q, T("~true")] is False
-    searches = []
-    search = _Solver.search
+    calls = []
+    for cls, name in ((_Solver, "search"), (Session, "compiled")):
+        original = getattr(cls, name)
 
-    def counted(self, *args):
-        searches.append(args)
-        return search(self, *args)
+        def counted(self, *args, original=original, name=name):
+            calls.append(name)
+            return original(self, *args)
 
-    monkeypatch.setattr(_Solver, "search", counted)
+        monkeypatch.setattr(cls, name, counted)
     assert bottom_kernels(frozenset(set(q)), u, session=session) == frozenset()
-    assert searches == []
+    assert calls == []
+
+
+def test_kernel_query_outside_the_universe_names_the_first_missing_term():
+    q = terms("z", "a", "b | c")
+    session = Session()
+    with pytest.raises(EngineError, match=r"outside universe: b \| c$"):
+        bottom_kernels(q, relevant_universe(terms("a")), session=session)
+    session.memo[q, FALSE] = False
+    with pytest.raises(EngineError, match=r"outside universe: b \| c$"):
+        bottom_kernels(q, relevant_universe(terms("a")), session=session)
 
 
 def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsistent_sets(rng):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from logag.cli import main
 from logag import parse_theory, translate, parse_rules, default_indexing
 
@@ -208,6 +210,22 @@ def test_capacity_error_maps_to_exit_3(tmp_path):
     wide.write_text("".join(f"p{i}.\n" for i in range(30)) + "~p0.\n")
     code, _ = run("check", str(wide), "--query", "p1", "--atom-cap", "24")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(DATA / "ot1.logag"), "--query", "Flies(Tweety)", "--level", "-1"],
+        ["trace", str(DATA / "ot1.logag"), "--max-level", "-1"],
+        ["check", str(DATA / "ot1.logag"), "--query", "Flies(Tweety)", "--atom-cap", "-1"],
+        ["args", "enumerate", str(DATA / "penguin.rules"), "--depth-cap", "-1"],
+    ],
+    ids=["level", "max-level", "atom-cap", "depth-cap"],
+)
+def test_negative_levels_and_caps_are_usage_errors(argv, capsys):
+    assert run(*argv) == (2, "")
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"logag {argv[0]}: error: argument {argv[-2]}: must be >= 0, not -1"]
 
 
 def test_over_deep_input_maps_to_exit_3(tmp_path, capsys):

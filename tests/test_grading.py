@@ -9,17 +9,21 @@ from conftest import random_term, random_theory
 
 from logag import (
     Canon,
+    EngineError,
     Grade,
     GradeTable,
     Kernel,
+    Limits,
     RunContext,
     UngradedError,
+    default_indexing,
     depth1_expansion,
     entails,
     find_fixpoint,
     fused_grade,
     graded_consequence,
     graded_consequences,
+    is_consistent,
     mutually_entailing,
     parse_term as T,
     parse_theory,
@@ -30,7 +34,9 @@ from logag import (
     telescope_n,
     telescope_once,
     trace_to_dict,
+    translate,
 )
+from logag import grading
 
 
 def terms(*texts):
@@ -318,8 +324,6 @@ def test_level2_excludes_p_and_not_f(penguin_brother):
 
 def test_consistency_preserved_when_top_consistent(penguin_brother):
     trace = telescope_n(penguin_brother, MEAN_MAX(3))
-    from logag import is_consistent
-
     for level in trace.levels:
         assert is_consistent(level.base)
 
@@ -382,6 +386,57 @@ def test_no_fixpoint_reported_within_levels_0_to_2_of_penguin_rules_theory(pengu
     assert len(trace.levels) == 3
     assert not any(lv.fixpoint_reached for lv in trace.levels)
     assert find_fixpoint(penguin_rules_theory, "sum", "max", 40)[0] == 3
+
+
+WIDE = Limits(atom_cap=256)
+
+
+def _seeded_theories(rng):
+    """Random theories, then translated random rule systems ``translate`` accepts."""
+    for _ in range(20):
+        yield random_theory(rng, n_terms=rng.randint(2, 6), atoms=["a", "b", "c", "d"], allow_grades=True)
+    for _ in range(20):
+        rules = oracles.random_rule_system(rng)
+        try:
+            yield translate(rules, default_indexing(rules))
+        except EngineError:
+            continue
+
+
+@pytest.mark.parametrize("otimes, oplus", [("sum", "max"), ("mean", "min")])
+def test_steps_read_from_the_filter_table_match_fresh_sessions(rng, otimes, oplus):
+    """A run asks each base's filter once; a fresh context asking anew agrees.
+
+    Each level's expansion and fixpoint flag are recomputed in a new
+    ``RunContext``, with its own session and an empty filter table. An
+    inconsistent theory's levels are the improper filter and are skipped.
+    """
+    checked = 0
+    for th in _seeded_theories(rng):
+        if not is_consistent(th.terms, limits=WIDE):
+            continue
+        trace = telescope_n(th, Canon(otimes, oplus, 4), limits=WIDE)
+        for record in trace.levels:
+            fresh = RunContext(th.terms, trace.context.universe, otimes, oplus, WIDE)
+            assert record.expansion == depth1_expansion(record.base, fresh)
+            assert record.fixpoint_reached == mutually_entailing(record.supported, record.base, limits=WIDE)
+            checked += 1
+    assert checked >= 100
+
+
+def test_a_run_asks_the_top_theory_for_its_filter_once(penguin_rules_theory, monkeypatch):
+    bases = []
+    entails_each = grading.entails_each
+
+    def counted(base, goals, **kwargs):
+        bases.append(base)
+        return entails_each(base, goals, **kwargs)
+
+    monkeypatch.setattr(grading, "entails_each", counted)
+    trace = telescope_n(penguin_rules_theory, Canon("sum", "max", 8))
+    assert len(trace.levels) == 9
+    assert bases.count(trace.context.top) == 1
+    assert len(bases) == len(set(bases))
 
 
 def test_inconsistent_theory_still_answers_classically():
