@@ -6,17 +6,20 @@ and resolving the conflicts this creates by comparing fused grades. A
 rule-based argument-system frontend translates base facts, monotonic rules
 and non-monotonic rules into a graded theory whose per-level consequence
 sets track the system's argument structures.
+
+The package exports the API that README documents. The engine layers and
+their result types live in ``logag.terms``, ``logag.classical``,
+``logag.grading`` and ``logag.arguments``.
 """
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import CapacityError, EngineError, ParseError, UngradedError
+from .errors import CapacityError, EngineError, ParseError
 from .terms import (
     TRUE,
     And,
     Atom,
     Grade,
     GradeEq,
-    GradeValue,
     Individual,
     Less,
     Not,
@@ -24,61 +27,26 @@ from .terms import (
     Term,
     Theory,
     TrueTerm,
-    grade_text,
     parse_term,
     parse_theory,
     render,
-    subterms,
-    theory_to_text,
-)
-from .classical import (
-    Kernel,
-    Universe,
-    bottom_kernels,
-    entails,
-    is_consistent,
-    mutually_entailing,
-    relevant_universe,
-    satisfiable,
 )
 from .grading import (
     Canon,
     GradeTable,
-    LevelRecord,
     RunContext,
-    TelescopeTrace,
-    depth1_expansion,
     find_fixpoint,
-    fused_grade,
     graded_consequence,
     graded_consequences,
-    supported,
-    survives,
     telescope_n,
-    telescope_once,
-    trace_to_dict,
 )
 from .arguments import (
-    Argument,
-    ArgumentStructure,
-    Indexing,
-    Rule,
-    RuleSet,
-    Theorem1Report,
-    Theorem2Report,
-    chain_term,
     check_theorem1,
     check_theorem2,
     default_indexing,
     enumerate_arguments,
     enumerate_structures,
-    maximal_structures,
-    negate_literal,
-    parse_indexing,
     parse_rules,
-    pi,
-    rules_of_structure,
-    structure_level,
     translate,
     verify,
     wffs,

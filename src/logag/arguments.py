@@ -7,13 +7,8 @@ rule-labelled trees; argument structures are sets of arguments containing
 every base fact, closed under subtrees and monotonic rules, and never
 supporting both a literal and its negation.
 
-Rules file grammar (UTF-8, ``#`` comments)::
-
-    rule := LABEL ":" body "."
-    body := wff                        (base fact)
-          | wff ("," wff)* "->" wff    (monotonic)
-          | wff ("," wff)* "=>" wff    (non-monotonic)
-    wff  := ["~"] IDENT [ "(" individual ("," individual)* ")" ] | "true"
+Rules files are read by :func:`logag.terms.rule_statements`, which holds
+their grammar; :func:`parse_rules` builds the rules from its statements.
 
 The translation into a graded theory keeps base facts and monotonic rules as
 plain (certain) material implications, and buries the image of each
@@ -45,13 +40,14 @@ from .terms import (
     Term,
     Theory,
     TrueTerm,
-    _Parser,
     render,
+    rule_statements,
 )
 
 FACT = "fact"
 MONOTONIC = "monotonic"
 NONMONOTONIC = "nonmonotonic"
+_KIND_OF_ARROW = {None: FACT, "->": MONOTONIC, "=>": NONMONOTONIC}
 
 
 def is_literal(t: Term) -> bool:
@@ -107,54 +103,12 @@ class RuleSet:
 
 
 def parse_rules(text: str, name: str = "rules") -> RuleSet:
-    parser = _Parser(text)
-
-    def wff() -> Term:
-        if parser.at_punct("~"):
-            parser.advance()
-            inner = wff()
-            return Not(inner)
-        tok = parser.peek()
-        if tok.kind != "ident":
-            raise parser.fail("expected a literal")
-        if tok.text == "true":
-            parser.advance()
-            return TrueTerm()
-        atom = parser.atom()
-        nxt = parser.peek()
-        if nxt.kind == "punct" and nxt.text in ("&", "|") or nxt.kind == "eqeq":
-            raise parser.fail("compound formulas are not allowed in rules; use literals")
-        return atom
-
-    rules = []
-    while parser.peek().kind != "eof":
-        label = parser.expect("ident").text
-        parser.expect("punct", ":")
-        wffs = [wff()]
-        while parser.at_punct(","):
-            parser.advance()
-            wffs.append(wff())
-        tok = parser.peek()
-        if tok.kind == "arrow":
-            parser.advance()
-            conclusion = wff()
-            kind = MONOTONIC
-            premises = tuple(wffs)
-        elif tok.kind == "darrow":
-            parser.advance()
-            conclusion = wff()
-            kind = NONMONOTONIC
-            premises = tuple(wffs)
-        else:
-            if len(wffs) != 1:
-                raise parser.fail("a base fact is a single literal")
-            conclusion = wffs[0]
-            kind = FACT
-            premises = ()
-        parser.expect("punct", ".")
-        rules.append(Rule(label, kind, premises, conclusion))
+    rules = tuple(
+        Rule(label, _KIND_OF_ARROW[arrow], premises, conclusion)
+        for label, arrow, premises, conclusion in rule_statements(text)
+    )
     try:
-        return RuleSet(name, tuple(rules))
+        return RuleSet(name, rules)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from exc
 
@@ -457,8 +411,6 @@ def check_theorem1(t: ArgumentStructure, record: LevelRecord, ctx: RunContext) -
 @dataclass(frozen=True)
 class Theorem2Report:
     level: int
-    checked: int
-    classical_bases: tuple[frozenset[Term], ...]
     failures: tuple[tuple[Term, frozenset[Term]], ...]
     passed: bool
 
@@ -502,19 +454,11 @@ def check_theorem2(
     consequences = list(compress(candidates, in_filter))
     structure_base = frozenset(pi(r) for r in rules_of_structure(t, rules))
     failures = []
-    bases = []
     for extension in _maximal_consistent_extensions(structure_base, rules, ctx):
         base = structure_base | {pi(r) for r in extension}
-        bases.append(base)
         answers = entails_each(base, consequences, limits=limits, session=session)
         failures.extend((u, base) for u, yes in zip(consequences, answers) if not yes)
-    return Theorem2Report(
-        record.index,
-        len(consequences) * max(len(bases), 1),
-        tuple(bases),
-        tuple(failures),
-        not failures,
-    )
+    return Theorem2Report(record.index, tuple(failures), not failures)
 
 
 def verify(

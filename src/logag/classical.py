@@ -446,9 +446,6 @@ class Universe:
     def term_set(self) -> frozenset[Term]:
         return frozenset(self.terms)
 
-    def __contains__(self, t: Term) -> bool:
-        return t in self.term_set
-
 
 def relevant_universe(theory: Theory | Iterable[Term], extra: Iterable[Term] = ()) -> Universe:
     roots = list(theory.terms) if isinstance(theory, Theory) else list(theory)

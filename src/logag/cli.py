@@ -90,6 +90,10 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 1, 1) from exc
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start].decode("utf-8")
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise ParseError(f"cannot read {path}: not UTF-8 text", line, column) from exc
 
 
 def _limits(ns) -> Limits:

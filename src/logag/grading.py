@@ -106,17 +106,6 @@ class RunContext:
             self.filters[base] = rep
         return rep
 
-    @property
-    def memo(self) -> dict[tuple[frozenset[Term], Term], bool]:
-        """The run's entailment answers, keyed ``(base, goal)``.
-
-        The kernel search's consistency checks are among them, keyed
-        ``(subset, ~true)``: true when the subset is inconsistent. They
-        cover each whole expansion, each of its components and each subset
-        a component's search grows or shrinks.
-        """
-        return self.session.memo
-
 
 # ---------------------------------------------------------------------------
 # Grades

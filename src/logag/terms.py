@@ -27,6 +27,13 @@ eagerly into their ground instances, so a parsed theory holds ground terms
 only. Term identity everywhere downstream is structural equality of the
 parsed (implication-free) tree.
 
+Rules files (``rule_statements``) use the same tokens, over literals only:
+
+    rule        := IDENT ":" body "."
+    body        := wff                              (base fact)
+                 | wff ("," wff)* ("->" | "=>") wff (monotonic | non-monotonic)
+    wff         := "~"* (atom | "true")
+
 Individuals and terms are frozen, slotted dataclasses that hash once: the
 structural hash, the same value the generated dataclass hash gives, is
 computed on first use and kept in a slot. A term's ``render`` text is kept
@@ -374,22 +381,34 @@ class _Parser:
             return self.atom()
         raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
+    def literal(self) -> Term:
+        """``"~"* (atom | "true")``, refusing a following connective."""
+        if self.at_punct("~"):
+            self.advance()
+            return Not(self.literal())
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise self.fail("expected a literal")
+        if tok.text == "true":
+            self.advance()
+            return TRUE
+        atom = self.atom()
+        nxt = self.peek()
+        if nxt.kind == "punct" and nxt.text in ("&", "|") or nxt.kind == "eqeq":
+            raise self.fail("compound formulas are not allowed in rules; use literals")
+        return atom
+
     def atom(self) -> Atom:
-        name = self.expect("ident").text
-        args: tuple[Individual, ...] = ()
-        if self.at_punct("("):
-            args = self.individual_args()
-        return Atom(name, args)
+        return Atom(self.expect("ident").text, self.individual_args())
 
     def individual(self) -> Individual:
-        name = self.expect("ident").text
-        args: tuple[Individual, ...] = ()
-        if self.at_punct("("):
-            args = self.individual_args()
-        return Individual(name, args)
+        return Individual(self.expect("ident").text, self.individual_args())
 
     def individual_args(self) -> tuple[Individual, ...]:
-        self.expect("punct", "(")
+        """``"(" individual ("," individual)* ")"``, or none."""
+        if not self.at_punct("("):
+            return ()
+        self.advance()
         args = [self.individual()]
         while self.at_punct(","):
             self.advance()
@@ -405,6 +424,32 @@ def parse_term(text: str) -> Term:
     if parser.peek().kind != "eof":
         raise parser.fail("unexpected trailing input after term")
     return t
+
+
+def rule_statements(text: str) -> Iterator[tuple[str, Optional[str], tuple[Term, ...], Term]]:
+    """Read a rules file's statements, one at a time, in file order.
+
+    Yields ``(label, arrow, premises, conclusion)``: ``arrow`` is ``"->"``
+    or ``"=>"`` for a rule and None for a base fact, whose premises are
+    empty. Every premise and conclusion is a literal.
+    """
+    parser = _Parser(text)
+    while parser.peek().kind != "eof":
+        label = parser.expect("ident").text
+        parser.expect("punct", ":")
+        literals = [parser.literal()]
+        while parser.at_punct(","):
+            parser.advance()
+            literals.append(parser.literal())
+        if parser.peek().kind in ("arrow", "darrow"):
+            arrow = parser.advance().text
+            premises, conclusion = tuple(literals), parser.literal()
+        elif len(literals) != 1:
+            raise parser.fail("a base fact is a single literal")
+        else:
+            arrow, premises, conclusion = None, (), literals[0]
+        parser.expect("punct", ".")
+        yield label, arrow, premises, conclusion
 
 
 # ---------------------------------------------------------------------------

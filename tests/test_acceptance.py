@@ -14,27 +14,22 @@ from logag import (
     Limits,
     Canon,
     Grade,
-    entails,
-    bottom_kernels,
     default_indexing,
     enumerate_arguments,
     enumerate_structures,
     find_fixpoint,
-    fused_grade,
     graded_consequence,
     graded_consequences,
-    is_consistent,
-    mutually_entailing,
-    negate_literal,
     parse_rules,
     parse_term as T,
-    pi,
-    relevant_universe,
     telescope_n,
     translate,
     verify,
     wffs,
 )
+from logag.arguments import negate_literal, pi
+from logag.classical import bottom_kernels, entails, is_consistent, mutually_entailing, relevant_universe
+from logag.grading import fused_grade
 from conftest import random_term, random_theory
 from oracles import brute_kernels, tt_entails, tt_satisfiable
 

@@ -67,6 +67,24 @@ def test_check_parse_error_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, text, line, column",
+    [
+        (["check", "{bad}", "--query", "p"], b"theory t.\np\xe9.\n", 2, 2),
+        (["args", "verify", "{bad}"], b"r1: caf\xe9.\n", 1, 8),
+        (["args", "verify", str(DATA / "penguin.rules"), "--indexing", "{bad}"], b"INDEX: r7\nINDEX: \xe9\n", 2, 8),
+    ],
+    ids=["theory", "rules", "indexing"],
+)
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, argv, text, line, column):
+    bad = tmp_path / "bad"
+    bad.write_bytes(text)
+    assert run(*(a.format(bad=bad) for a in argv)) == (2, "")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read {bad}: not UTF-8 text (line {line}, column {column})"
+    ]
+
+
 def test_trace_text_shows_level2_kernels():
     code, out = run(
         "trace", str(DATA / "penguin_brother.logag"),

@@ -17,9 +17,8 @@ from logag import (
     parse_term,
     parse_theory,
     render,
-    subterms,
-    theory_to_text,
 )
+from logag.terms import subterms, theory_to_text
 from conftest import random_term
 
 
