@@ -107,10 +107,7 @@ def parse_rules(text: str, name: str = "rules") -> RuleSet:
         Rule(label, _KIND_OF_ARROW[arrow], premises, conclusion)
         for label, arrow, premises, conclusion in rule_statements(text)
     )
-    try:
-        return RuleSet(name, rules)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from exc
+    return RuleSet(name, rules)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,10 @@ first the whole queried set, when its distinct atoms fit ``atom_cap``,
 then each atom-connected component, then each grow and shrink step of the
 component's map.
 
+The universe holds one object per distinct term, each child the universe's
+own object too, so a run's sets, memo keys and filters find equal terms by
+identity before any structural comparison.
+
 Nothing here keeps state between calls. One telescoping run owns one
 session (``RunContext.session``), which goes when the run's trace goes; a
 caller that passes none gets a fresh one. A session's memo serves one set
@@ -43,13 +47,12 @@ of limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, KeysView, Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError
-from .terms import TRUE, Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueTerm, render, subterms
+from .terms import TRUE, Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueTerm, render
 
 FALSE = Not(TRUE)  # the goal a base entails exactly when it is inconsistent
 
@@ -441,19 +444,42 @@ class Universe:
     """
 
     terms: tuple[Term, ...]
+    shared: dict[Term, Term] = field(compare=False, repr=False)
+    """Each term to the universe's own object for it."""
 
-    @cached_property
-    def term_set(self) -> frozenset[Term]:
-        return frozenset(self.terms)
+    @property
+    def term_set(self) -> KeysView[Term]:
+        return self.shared.keys()
 
 
 def relevant_universe(theory: Theory | Iterable[Term], extra: Iterable[Term] = ()) -> Universe:
+    """The subterm closure of the roots, one object per distinct term.
+
+    Each root is walked once, bottom-up. The first object met for a term is
+    kept, and a node is rebuilt only when a child is not the kept object.
+    """
     roots = list(theory.terms) if isinstance(theory, Theory) else list(theory)
     roots.extend(extra)
-    seen: set[Term] = set()
+    shared: dict[Term, Term] = {}
+
+    def share(t: Term) -> Term:
+        s = shared.get(t)
+        if s is not None:
+            return s
+        if isinstance(t, (Not, Grade)):
+            inner = share(t.inner)
+            if inner is not t.inner:
+                t = Not(inner) if isinstance(t, Not) else Grade(inner, t.grade)
+        elif isinstance(t, (And, Or)):
+            left, right = share(t.left), share(t.right)
+            if left is not t.left or right is not t.right:
+                t = type(t)(left, right)
+        shared[t] = t
+        return t
+
     for t in roots:
-        seen.update(subterms(t))
-    return Universe(tuple(sorted(seen, key=render)))
+        share(t)
+    return Universe(tuple(sorted(shared, key=render)), shared)
 
 
 # ---------------------------------------------------------------------------

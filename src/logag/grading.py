@@ -85,7 +85,8 @@ class RunContext:
     the grade sort carries here. ``session`` is the run's SAT session: its
     term table, its loaded base and its memo of every entailment answer the
     run has found. ``filters`` maps each base the run asks ``filter`` about
-    to its filter, the universe terms it entails; both live with the context.
+    to its filter, the universe terms it entails, and ``refutations`` each
+    term ``refuted`` is asked about to its answer; all live with the context.
     """
 
     top: frozenset[Term]
@@ -95,6 +96,7 @@ class RunContext:
     limits: Limits = DEFAULT_LIMITS
     session: Session = field(default_factory=Session, compare=False, repr=False)
     filters: dict[frozenset[Term], frozenset[Term]] = field(default_factory=dict, compare=False, repr=False)
+    refutations: dict[Term, bool] = field(default_factory=dict, compare=False, repr=False)
 
     def filter(self, base: Iterable[Term]) -> frozenset[Term]:
         """The universe terms ``base`` entails, asked once per base per run."""
@@ -105,6 +107,21 @@ class RunContext:
             rep = frozenset(compress(terms, entails_each(base, terms, limits=self.limits, session=self.session)))
             self.filters[base] = rep
         return rep
+
+    def refuted(self, t: Term) -> bool:
+        """Whether the top theory entails ``~t``, asked once per term per run.
+
+        A negation in the universe is read off the top theory's filter.
+        """
+        answer = self.refutations.get(t)
+        if answer is None:
+            negation = Not(t)
+            if negation in self.universe.term_set:
+                answer = negation in self.filter(self.top)
+            else:
+                answer = entails(self.top, negation, limits=self.limits, session=self.session)
+            self.refutations[t] = answer
+        return answer
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +214,7 @@ def survives(p: Term, x: Kernel, table: GradeTable, ctx: RunContext) -> bool:
         return True
     p_grade = table.fused(p)
     for other in x.members:
-        if other != p and entails(ctx.top, Not(other), limits=ctx.limits, session=ctx.session):
+        if other != p and ctx.refuted(other):
             return True
         if other in ctx.filter(ctx.top):
             continue
@@ -306,8 +323,9 @@ def _run_levels(
 ) -> TelescopeTrace:
     if canon.level > limits.level_cap:
         raise CapacityError("telescoping level", limits.level_cap, canon.level)
+    universe = relevant_universe(theory, queries)
     ctx = RunContext(
-        frozenset(theory.terms), relevant_universe(theory, queries), canon.otimes, canon.oplus, limits
+        frozenset(universe.shared[t] for t in theory.terms), universe, canon.otimes, canon.oplus, limits
     )
     records: list[LevelRecord] = []
     base = ctx.top

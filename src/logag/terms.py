@@ -24,22 +24,23 @@ comments:
 Precedence: ``~`` > ``&`` > ``|`` > ``->``; ``->`` is right-associative.
 Universal statements range over a declared finite domain and are expanded
 eagerly into their ground instances, so a parsed theory holds ground terms
-only. Term identity everywhere downstream is structural equality of the
-parsed (implication-free) tree.
+only. Term equality everywhere downstream is structural equality of the
+parsed (implication-free) tree; a telescoping run also shares one object per
+distinct term, which changes no answer.
 
 Rules files (``rule_statements``) use the same tokens, over literals only:
 
     rule        := IDENT ":" body "."
     body        := wff                              (base fact)
                  | wff ("," wff)* ("->" | "=>") wff (monotonic | non-monotonic)
-    wff         := "~"* (atom | "true")
+    wff         := ["~"] (atom | "true")
 
 Individuals and terms are frozen, slotted dataclasses that hash once: the
 structural hash, the same value the generated dataclass hash gives, is
 computed on first use and kept in a slot. A term's ``render`` text is kept
 the same way, in a second slot, so it lives exactly as long as the term and
-no module holds a table of texts. Identity is still structural equality;
-the slots take no part in ``==`` or ``repr``.
+no module holds a table of texts. Equality stays structural, whichever
+objects are compared; the slots take no part in ``==`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -224,18 +225,6 @@ def render(t: Term) -> str:
     return text
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """Every proposition-sorted subterm of ``t``, including ``t`` itself."""
-    yield t
-    if isinstance(t, Not):
-        yield from subterms(t.inner)
-    elif isinstance(t, (And, Or)):
-        yield from subterms(t.left)
-        yield from subterms(t.right)
-    elif isinstance(t, Grade):
-        yield from subterms(t.inner)
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 
@@ -382,9 +371,12 @@ class _Parser:
         raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
     def literal(self) -> Term:
-        """``"~"* (atom | "true")``, refusing a following connective."""
+        """``["~"] (atom | "true")``, refusing a following connective."""
+        start = self.peek()
         if self.at_punct("~"):
             self.advance()
+            if self.at_punct("~"):
+                raise ParseError("a literal takes at most one '~'", start.line, start.column)
             return Not(self.literal())
         tok = self.peek()
         if tok.kind != "ident":
@@ -431,11 +423,15 @@ def rule_statements(text: str) -> Iterator[tuple[str, Optional[str], tuple[Term,
 
     Yields ``(label, arrow, premises, conclusion)``: ``arrow`` is ``"->"``
     or ``"=>"`` for a rule and None for a base fact, whose premises are
-    empty. Every premise and conclusion is a literal.
+    empty. Every premise and conclusion is a literal, and no label repeats.
     """
     parser = _Parser(text)
+    labels: set[str] = set()
     while parser.peek().kind != "eof":
-        label = parser.expect("ident").text
+        label = parser.expect("ident")
+        if label.text in labels:
+            raise ParseError("duplicate rule label", label.line, label.column)
+        labels.add(label.text)
         parser.expect("punct", ":")
         literals = [parser.literal()]
         while parser.at_punct(","):
@@ -449,7 +445,7 @@ def rule_statements(text: str) -> Iterator[tuple[str, Optional[str], tuple[Term,
         else:
             arrow, premises, conclusion = None, (), literals[0]
         parser.expect("punct", ".")
-        yield label, arrow, premises, conclusion
+        yield label.text, arrow, premises, conclusion
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ These deliberately avoid the engine's code paths: entailment is exhaustive
 truth-table evaluation, kernel enumeration is brute-force subset search,
 grading chains are peeled layer by layer and fused as peeled, survival
 follows the rule ``survives`` documents, and argument structures are
-checked against their four defining conditions one by one. Slow and simple
-on purpose.
+checked against their four defining conditions one by one, and the universe
+is the closure under ``subterms``. Slow and simple on purpose.
 """
 
 from fractions import Fraction
@@ -14,6 +14,18 @@ from itertools import combinations, product
 from logag.arguments import Argument, RuleSet, parse_rules
 from logag.errors import UngradedError
 from logag.terms import And, Atom, Grade, GradeEq, Less, Not, Or, Term, TrueTerm, render
+
+
+def subterms(t: Term):
+    """Every proposition-sorted subterm of ``t``, including ``t`` itself."""
+    yield t
+    if isinstance(t, Not):
+        yield from subterms(t.inner)
+    elif isinstance(t, (And, Or)):
+        yield from subterms(t.left)
+        yield from subterms(t.right)
+    elif isinstance(t, Grade):
+        yield from subterms(t.inner)
 
 
 def _collect_atoms(t: Term, acc: list):

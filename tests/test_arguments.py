@@ -71,8 +71,10 @@ def test_parse_rule_kinds(penguin_rules):
         ("r1: a => b => c.", "expected '.', found '=>'", 1, 12),
         ("r1: 2 < 3.", "expected a literal", 1, 5),
         ("r1: G(a, 1).", "expected 'ident', found '1'", 1, 10),
-        ("r1: a.\nr1: b.\n", "duplicate rule label", 1, 1),
-        ("r1: a -> b.\n# comment\nr2: c.\nr1: d.", "duplicate rule label", 1, 1),
+        ("r1: a.\nr1: b.\n", "duplicate rule label", 2, 1),
+        ("r1: a -> b.\n# comment\nr2: c.\nr1: d.", "duplicate rule label", 4, 1),
+        ("r2: a -> ~~b.", "a literal takes at most one '~'", 1, 10),
+        ("r1: a.\nr2: ~~~a, b => c.", "a literal takes at most one '~'", 2, 5),
     ],
     ids=[
         "missing-colon",
@@ -90,6 +92,8 @@ def test_parse_rule_kinds(penguin_rules):
         "grading-term",
         "duplicate-label",
         "duplicate-label-apart",
+        "double-negation",
+        "triple-negated-premise",
     ],
 )
 def test_parse_rules_error_positions(text, message, line, column):

@@ -29,7 +29,7 @@ from logag.classical import (
     mutually_entailing,
     relevant_universe,
 )
-from oracles import brute_kernels, tt_entails, tt_satisfiable
+from oracles import brute_kernels, subterms, tt_entails, tt_satisfiable
 from conftest import random_term
 
 
@@ -292,6 +292,23 @@ def test_universe_contains_boolean_and_grading_subterms(penguin_brother):
 def test_universe_of_empty_theory_is_extra_closure():
     u = relevant_universe([], [T("a & b")])
     assert set(u.terms) == {T("a & b"), T("a"), T("b")}
+
+
+def test_universe_is_the_subterm_closure_with_one_object_per_term(rng):
+    for _ in range(60):
+        roots = [random_term(rng, ["a", "b", "c"], rng.randint(1, 4), True) for _ in range(rng.randint(1, 6))]
+        roots += [T(render(t)) for t in roots[:2]]  # equal, distinct objects
+        u = relevant_universe(roots)
+        assert list(u.terms) == sorted({s for t in roots for s in subterms(t)}, key=render)
+        ids = {id(t) for t in u.terms}
+        assert len(ids) == len(u.terms)
+        assert all(id(c) in ids for t in u.terms for c in subterms(t))
+
+
+def test_a_shared_universe_is_not_rebuilt(penguin_brother):
+    u = relevant_universe(penguin_brother)
+    again = relevant_universe(u.terms)
+    assert all(a is b for a, b in zip(u.terms, again.terms, strict=True))
 
 
 # -- kernels -----------------------------------------------------------------

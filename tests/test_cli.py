@@ -85,6 +85,15 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, argv, text, 
     ]
 
 
+def test_a_doubly_negated_rule_literal_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.rules"
+    bad.write_text("r1: a.\nr2: a -> ~~b.\n")
+    assert run("args", "verify", str(bad)) == (2, "")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a literal takes at most one '~' (line 2, column 10)"
+    ]
+
+
 def test_trace_text_shows_level2_kernels():
     code, out = run(
         "trace", str(DATA / "penguin_brother.logag"),

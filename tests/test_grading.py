@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 from fractions import Fraction
@@ -13,11 +14,14 @@ from logag import (
     Grade,
     GradeTable,
     Limits,
+    Not,
     RunContext,
+    Theory,
     default_indexing,
     find_fixpoint,
     graded_consequence,
     graded_consequences,
+    parse_rules,
     parse_term as T,
     parse_theory,
     telescope_n,
@@ -26,7 +30,7 @@ from logag import (
 from logag.classical import Kernel, entails, is_consistent, mutually_entailing, relevant_universe
 from logag.errors import UngradedError
 from logag.grading import depth1_expansion, fused_grade, supported, survives, telescope_once, trace_to_dict
-from logag.terms import subterms
+from logag.terms import render
 from logag import grading
 
 
@@ -87,7 +91,7 @@ def random_towers(rng):
         for _ in range(rng.randint(0, 4)):
             t = Grade(t, Fraction(rng.randint(1, 3)))
         q.add(t)
-    candidates = {s for t in q for s in subterms(t)} | {T("c"), T("G(c, 1)"), T("~b")}
+    candidates = {s for t in q for s in oracles.subterms(t)} | {T("c"), T("G(c, 1)"), T("~b")}
     return q, candidates
 
 
@@ -428,6 +432,73 @@ def test_a_run_asks_the_top_theory_for_its_filter_once(penguin_rules_theory, mon
     assert len(trace.levels) == 9
     assert bases.count(trace.context.top) == 1
     assert len(bases) == len(set(bases))
+
+
+CHAIN3_RULES = """
+f0: a0.
+n0: a0 => a1.
+m0: a1 -> ~b0.
+d0: a0 => b0.
+d1: a0 => b1.
+"""
+
+
+def _translated(request, name):
+    if name == "penguin":
+        return request.getfixturevalue("penguin_rules_theory")
+    rules = parse_rules(CHAIN3_RULES)
+    return translate(rules, default_indexing(rules), WIDE)
+
+
+@pytest.mark.parametrize("name", ["penguin", "chain3"])
+def test_a_run_holds_one_object_per_term(request, name):
+    trace = telescope_n(_translated(request, name), Canon("sum", "max", 8), limits=WIDE)
+    ctx = trace.context
+    shared = {id(t) for t in ctx.universe.terms}
+    assert all(id(c) in shared for t in ctx.universe.terms for c in oracles.subterms(t))
+    held = [ctx.top]
+    for record in trace.levels:
+        held += [record.base, record.expansion, record.survivors, record.supported]
+        held += [k.members for k in record.kernels]
+    assert any(record.kernels for record in trace.levels)
+    assert all(id(t) in shared for ts in held for t in ts)
+
+
+@pytest.mark.parametrize("name", ["penguin", "chain3"])
+def test_a_theory_of_unshared_copies_traces_the_same(request, name):
+    theory = _translated(request, name)
+    copies = Theory(theory.name, theory.domains, frozenset(copy.deepcopy(t) for t in theory.terms))
+    assert not {id(t) for t in copies.terms} & {id(t) for t in theory.terms}
+    canon = Canon("sum", "max", 8)
+    assert trace_to_dict(telescope_n(copies, canon, limits=WIDE)) == trace_to_dict(
+        telescope_n(theory, canon, limits=WIDE)
+    )
+
+
+def test_refuted_matches_entailment_of_the_negation(rng):
+    checked = 0
+    for th in _seeded_theories(rng):
+        negations = [Not(t) for t in sorted(th.terms, key=render)[:2]]
+        ctx = RunContext(th.terms, relevant_universe(th, negations), "sum", "max", WIDE)
+        for t in ctx.universe.terms:
+            assert ctx.refuted(t) == entails(ctx.top, Not(t), limits=WIDE)
+            checked += Not(t) in ctx.universe.term_set
+    assert checked >= 50
+
+
+def test_survival_asks_each_refutation_once_per_run(penguin_rules_theory, monkeypatch):
+    goals = []
+    entails = grading.entails
+
+    def counted(base, goal, **kwargs):
+        goals.append(goal)
+        return entails(base, goal, **kwargs)
+
+    monkeypatch.setattr(grading, "entails", counted)
+    trace = telescope_n(penguin_rules_theory, Canon("sum", "max", 8))
+    negations = [g for g in goals if isinstance(g, Not)]
+    assert len(negations) == len(set(negations))
+    assert set(trace.context.refutations) <= set(trace.context.universe.terms)
 
 
 def test_inconsistent_theory_still_answers_classically():

@@ -18,7 +18,8 @@ from logag import (
     parse_theory,
     render,
 )
-from logag.terms import subterms, theory_to_text
+from logag.terms import theory_to_text
+from oracles import subterms
 from conftest import random_term
 
 
