@@ -8,15 +8,15 @@ reasoning. Filters are not materialized here: membership of a goal in the
 filter of a base is the decision procedure ``entails(base, goal)``.
 
 Kernel enumeration returns every subset-minimal classically inconsistent
-subset of the queried base. It follows the standard seed/grow/shrink scheme
-for exhaustive minimal-unsatisfiable-subset enumeration, run per
-atom-connected component (a minimal inconsistent set can never straddle two
-components with disjoint atoms).
+subset of the queried base. It follows MARCO's scheme for exhaustive
+minimal-unsatisfiable-subset enumeration, with maximal seeds and so no grow
+step, run per atom-connected component (a minimal inconsistent set can
+never straddle two components with disjoint atoms).
 
 One SAT core serves both: ``_Solver`` is DPLL with unit propagation over
-clauses pushed and popped in stack order. ``_solve`` runs it once over a
-fresh clause list, for each seed of the kernel search's map. A ``Session``
-keeps one solver for a whole run, and with it
+clauses pushed and popped in stack order. A component's kernel search
+keeps one as its map, pushing each blocking clause as it is found. A
+``Session`` keeps one solver for a whole run, and with it
 
 - a term table, which compiles each term once, in run-wide variable
   numbers, to its literal (or the constant it folds to), its definitional
@@ -32,7 +32,7 @@ A session answers one question, entailment. Consistency is the entailment
 of ``FALSE`` (``~true``) read negated, so every consistency check of a
 kernel search is a memoized question ``(subset, ~true)`` to the session:
 first the whole queried set, when its distinct atoms fit ``atom_cap``,
-then each atom-connected component, then each grow and shrink step of the
+then each atom-connected component, then each seed and shrink step of the
 component's map.
 
 The universe holds one object per distinct term, each child the universe's
@@ -173,20 +173,6 @@ class _Solver:
                 self.undo(mark)
                 if propagate([-order[i]]):
                     break
-
-
-def _solve(n: int, clauses: list[list[int]]) -> Optional[set[int]]:
-    """The first model of ``clauses`` over variables 1..n, or None when unsatisfiable.
-
-    Branches on the smallest variable first, true first, so the model is the
-    first in that order; a variable in no clause is true in it.
-    """
-    solver = _Solver(n)
-    queue: list[int] = []
-    if not (solver.push(clauses, queue) and solver.search(queue, range(1, n + 1))):
-        return None
-    true = solver.true
-    return {u for u in range(1, n + 1) if not true[-u]}
 
 
 class _Compiled:
@@ -520,30 +506,38 @@ def _components(entries: list[_Compiled]) -> list[list[int]]:
 
 
 def _all_minimal_inconsistent(items: list[Term], session: Session, limits: Limits) -> list[frozenset[Term]]:
+    """Every minimal inconsistent subset of ``items``, by MARCO's seed/shrink loop.
+
+    The map is one solver, a variable per item, that keeps each blocking
+    clause as it is found.
+    """
+
     def consistent(picked: Iterable[int]) -> bool:
         return not session.entails(frozenset(items[i] for i in picked), FALSE, limits)
 
     n = len(items)
-    clauses: list[list[int]] = []
+    solver = _Solver(n)
+    units: list[int] = []  # the literals of the unit clauses, queued for each search
     found: list[frozenset[Term]] = []
-    while True:
-        seed = _solve(n, clauses)
-        if seed is None:
-            break
-        picked = [i for i in range(n) if i + 1 in seed]
-        if consistent(picked):
-            satisfied = set(picked)
-            for i in range(n):
-                if i not in satisfied and consistent(satisfied | {i}):
-                    satisfied.add(i)
-            clauses.append([i + 1 for i in range(n) if i not in satisfied])
-        else:
+    # A seed is the map's first model in true-first order, so it is maximal:
+    # no false variable can be set true without falsifying a clause. Only a
+    # kernel's clause falls that way, so a consistent seed plus any item
+    # holds a kernel: it is a maximal consistent subset, and it blocks its
+    # complement with no grow step (Liffiton et al., Constraints 2016).
+    while solver.search(list(units), range(1, n + 1)):
+        true = solver.true
+        picked = [i for i in range(n) if not true[-(i + 1)]]
+        clause = [i + 1 for i in range(n) if true[-(i + 1)]]
+        solver.undo(0)  # clauses are pushed over an empty assignment
+        if not consistent(picked):
             core = set(picked)
-            for i in sorted(picked):
+            for i in picked:
                 if i in core and len(core) > 1 and not consistent(core - {i}):
                     core.remove(i)
             found.append(frozenset(items[i] for i in core))
-            clauses.append([-(i + 1) for i in sorted(core)])
+            clause = [-(i + 1) for i in sorted(core)]
+        if not solver.push([clause], units):
+            break
     return found
 
 

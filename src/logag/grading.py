@@ -109,18 +109,10 @@ class RunContext:
         return rep
 
     def refuted(self, t: Term) -> bool:
-        """Whether the top theory entails ``~t``, asked once per term per run.
-
-        A negation in the universe is read off the top theory's filter.
-        """
+        """Whether the top theory entails ``~t``, asked once per term per run."""
         answer = self.refutations.get(t)
         if answer is None:
-            negation = Not(t)
-            if negation in self.universe.term_set:
-                answer = negation in self.filter(self.top)
-            else:
-                answer = entails(self.top, negation, limits=self.limits, session=self.session)
-            self.refutations[t] = answer
+            answer = self.refutations[t] = entails(self.top, Not(t), limits=self.limits, session=self.session)
         return answer
 
 

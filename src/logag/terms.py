@@ -333,8 +333,12 @@ class _Parser:
         return self.primary_term()
 
     def grade(self) -> GradeValue:
+        """The next numeral as a grade; ``1/0`` and ``1.5/2`` tokenize but are no grade."""
         tok = self.expect("number")
-        return Fraction(tok.text)
+        try:
+            return Fraction(tok.text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"invalid grade {tok.text!r}", tok.line, tok.column) from None
 
     def primary_term(self) -> Term:
         tok = self.peek()

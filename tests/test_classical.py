@@ -21,7 +21,6 @@ from logag.classical import (
     Kernel,
     Session,
     _Solver,
-    _solve,
     bottom_kernels,
     entails,
     entails_each,
@@ -118,40 +117,91 @@ def test_satisfiable_and_entails_fold_constants_like_truth_tables(rng):
         assert entails(base, goal) == tt_entails(base, goal)
 
 
+class Map:
+    """A kernel search's map: one solver keeping each clause as it is pushed.
+
+    ``model`` searches again from the unit clauses over an empty assignment,
+    as the search does for each seed.
+    """
+
+    def __init__(self, n):
+        self.n, self.solver, self.units, self.ok = n, _Solver(n), [], True
+
+    def push(self, clause):
+        self.ok = self.solver.push([list(clause)], self.units) and self.ok
+
+    def model(self):
+        self.solver.undo(0)
+        if not (self.ok and self.solver.search(list(self.units), range(1, self.n + 1))):
+            return None
+        return {v for v in range(1, self.n + 1) if not self.solver.true[-v]}
+
+
+def map_model(n, clauses):
+    m = Map(n)
+    for clause in clauses:
+        m.push(clause)
+    return m.model()
+
+
+def random_clauses(rng):
+    n = rng.randint(1, 6)
+    clauses = [
+        tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 3 * n))
+    ]
+    return n, clauses
+
+
+def satisfies(model, clauses):
+    return all(any((lit > 0) == (abs(lit) in model) for lit in c) for c in clauses)
+
+
 def test_solve_matches_brute_force_on_random_clause_sets(rng):
     for _ in range(400):
-        n = rng.randint(1, 6)
-        clauses = [
-            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
-            for _ in range(rng.randint(0, 3 * n))
-        ]
-        # The first model when variables are tried smallest first, true first.
-        first = next(
-            (
-                {v for v, b in enumerate(bits, start=1) if b}
-                for bits in product((True, False), repeat=n)
-                if all(any((lit > 0) == bits[abs(lit) - 1] for lit in c) for c in clauses)
-            ),
-            None,
-        )
-        model = _solve(n, clauses)
-        assert model == first
-        if model is not None:
-            assert all(any((lit > 0) == (abs(lit) in model) for lit in c) for c in clauses)
+        n, clauses = random_clauses(rng)
+        # Every assignment, as the set of its true variables, tried smallest
+        # first, true first.
+        assignments = [{v for v, b in enumerate(bits, start=1) if b} for bits in product((True, False), repeat=n)]
+        m = Map(n)
+        for k in range(len(clauses) + 1):
+            first = next((a for a in assignments if satisfies(a, clauses[:k])), None)
+            model = m.model()
+            assert model == first
+            if model is not None:
+                assert satisfies(model, clauses[:k])
+            if k < len(clauses):
+                m.push(clauses[k])
+        assert map_model(n, clauses) == first
+
+
+def test_the_map_model_is_maximal(rng):
+    # No false variable can be set true without falsifying a clause: the
+    # kernel search's seeds need no grow step.
+    checked = 0
+    for _ in range(400):
+        n, clauses = random_clauses(rng)
+        model = map_model(n, clauses)
+        if model is None:
+            continue
+        for v in set(range(1, n + 1)) - model:
+            assert not satisfies(model | {v}, clauses)
+            checked += 1
+    assert checked > 100
 
 
 def test_solve_without_clauses_sets_every_variable_true():
-    assert _solve(5, []) == {1, 2, 3, 4, 5}
-    assert _solve(0, []) == set()
-    assert _solve(3, [()]) is None
+    assert map_model(5, []) == {1, 2, 3, 4, 5}
+    assert map_model(0, []) == set()
+    assert map_model(3, [()]) is None
 
 
 def test_solve_never_branches_on_variables_outside_every_clause():
     # Variables 1..38 occur in no clause; backtracking over them would
     # repeat the refutation of 39 and 40 up to 2**38 times.
     xor_free = [(39, 40), (39, -40), (-39, 40), (-39, -40)]
-    assert _solve(40, xor_free) is None
-    assert _solve(40, xor_free[::3]) == set(range(1, 40))
+    assert map_model(40, xor_free) is None
+    assert map_model(40, xor_free[::3]) == set(range(1, 40))
 
 
 def test_entails_each_matches_truth_tables_and_single_entails(rng):

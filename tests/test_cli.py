@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from logag.cli import main
+from logag.cli import console_main, main
 from logag import parse_theory, translate, parse_rules, default_indexing
 
 DATA = Path(__file__).parent / "data"
@@ -55,6 +55,14 @@ def test_check_json_format():
     ]
 
 
+def test_the_console_script_exits_with_the_code_main_returns(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["logag", "check", str(DATA / "ot1.logag"), "--query", "p"])
+    with pytest.raises(SystemExit) as info:
+        console_main()
+    assert info.value.code == 1
+    assert capsys.readouterr().out == "NO   p\n"
+
+
 def test_check_missing_file_is_usage_error():
     code, _ = run("check", "missing.logag", "--query", "p")
     assert code == 2
@@ -92,6 +100,22 @@ def test_a_doubly_negated_rule_literal_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: a literal takes at most one '~' (line 2, column 10)"
     ]
+
+
+@pytest.mark.parametrize(
+    "text, query, error",
+    [
+        ("G(p, 1/0).\n", "p", "invalid grade '1/0' (line 1, column 6)"),
+        ("p.\n1.5/2 < 2.\n", "p", "invalid grade '1.5/2' (line 2, column 1)"),
+        ("p.\n", "G(p, 1/0)", "invalid grade '1/0' (line 1, column 6)"),
+    ],
+    ids=["theory-zero-denominator", "theory-decimal-over-integer", "query-zero-denominator"],
+)
+def test_a_grade_that_is_no_fraction_is_a_usage_error(tmp_path, capsys, text, query, error):
+    bad = tmp_path / "bad.logag"
+    bad.write_text(text)
+    assert run("check", str(bad), "--query", query) == (2, "")
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
 def test_trace_text_shows_level2_kernels():

@@ -383,6 +383,23 @@ def test_no_fixpoint_reported_within_levels_0_to_2_of_penguin_rules_theory(pengu
     assert find_fixpoint(penguin_rules_theory, "sum", "max", 40)[0] == 3
 
 
+def test_find_fixpoint_compares_at_least_one_pair_of_levels(penguin_brother):
+    level, trace = find_fixpoint(penguin_brother, "mean", "max", 1)
+    assert (level, [lv.fixpoint_reached for lv in trace.levels]) == (None, [False])
+    with pytest.raises(ValueError):
+        find_fixpoint(penguin_brother, "mean", "max", 0)
+
+
+def test_find_fixpoint_of_an_inconsistent_theory_is_level_0():
+    level, trace = find_fixpoint(parse_theory("p.\n~p.\nq | r.\n"), "sum", "max", 4)
+    assert level == 0
+    (record,) = trace.levels
+    everything = frozenset(trace.context.universe.terms)
+    assert record.fixpoint_reached
+    assert record.expansion == record.supported == everything
+    assert record.kernels == frozenset()
+
+
 WIDE = Limits(atom_cap=256)
 
 

@@ -126,6 +126,17 @@ def test_multi_variable_forall_expands_product():
     assert len(th.terms) == 4
 
 
+def test_forall_grounds_nested_individuals_and_conjunctions():
+    th = parse_theory(
+        "domain b = {Opus, Tux}.\n"
+        "forall x in b: Penguin(x) & ~abnormal(penguin(x)) -> G(Flies(x) & Near(x, A), 2).\n"
+    )
+    assert th.terms == {
+        parse_term(f"Penguin({c}) & ~abnormal(penguin({c})) -> G(Flies({c}) & Near({c}, A), 2)")
+        for c in ("Opus", "Tux")
+    }
+
+
 def test_theory_example_four_term_set():
     th = parse_theory('~p | ~f.\n~p | w.\nG(p,2).\nG(G(f,2),3).\n')
     assert th.terms == {
@@ -141,21 +152,6 @@ def test_theory_duplicates_removed():
     assert len(th.terms) == 1
 
 
-def test_empty_domain_is_error():
-    with pytest.raises(ParseError, match="empty domain"):
-        parse_theory("domain b = {}.")
-
-
-def test_undeclared_domain_is_error():
-    with pytest.raises(ParseError, match="undeclared domain"):
-        parse_theory("forall x in b: P(x).")
-
-
-def test_duplicate_theory_name_is_error():
-    with pytest.raises(ParseError, match="duplicate theory name"):
-        parse_theory("theory a.\ntheory b.\n")
-
-
 def test_theory_text_round_trip(penguin_brother):
     text = theory_to_text(penguin_brother)
     again = parse_theory(text)
@@ -163,10 +159,60 @@ def test_theory_text_round_trip(penguin_brother):
     assert again.name == penguin_brother.name
 
 
+def test_theory_text_round_trip_keeps_domains():
+    th = parse_theory(
+        "theory birds.\ndomain b = {Tweety, Opus}.\ndomain a = {k}.\n"
+        "forall x in b: Bird(x) -> G(Flies(x), 5/2).\n"
+    )
+    text = theory_to_text(th)
+    assert "domain b = {Tweety, Opus}." in text.splitlines()
+    again = parse_theory(text)
+    assert again == th
+    assert theory_to_text(again) == text
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_theory("p.\nq &.\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, column",
+    [
+        (parse_theory, "theory a.\ntheory b.\n", "duplicate theory name", 2, 8),
+        (parse_theory, "domain b = {}.", "empty domain 'b'", 1, 8),
+        (parse_theory, "domain b = {x}.\n  domain b = {y}.", "duplicate domain 'b'", 2, 10),
+        (parse_theory, "domain d = {a}.\nforall x, x in d: P(x).", "duplicate variable in forall", 2, 1),
+        (parse_theory, "forall x in b: P(x).", "undeclared domain 'b'", 1, 13),
+        (parse_theory, "p & domain.", "reserved keyword 'domain' cannot start a term", 1, 5),
+        (parse_term, "p q", "unexpected trailing input after term", 1, 3),
+        (parse_theory, "p.\n2.", "expected '<' or '==' after grade", 2, 2),
+        (parse_theory, "p $ q.", "unexpected character '$'", 1, 3),
+        (parse_theory, "G(p, 1/0).", "invalid grade '1/0'", 1, 6),
+        (parse_theory, "p.\n1.5/2 < 2.", "invalid grade '1.5/2'", 2, 1),
+        (parse_term, "G(p, 2) -> 1 == 3/0", "invalid grade '3/0'", 1, 17),
+    ],
+    ids=[
+        "duplicate-theory-name",
+        "empty-domain",
+        "duplicate-domain",
+        "repeated-forall-variable",
+        "undeclared-domain",
+        "keyword-starts-term",
+        "query-trailing-input",
+        "grade-without-order",
+        "bad-character",
+        "zero-denominator",
+        "decimal-over-integer",
+        "query-zero-denominator",
+    ],
+)
+def test_parse_theory_error_positions(parse, text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (line {line}, column {column})"
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 # -- slotted terms that hash once ---------------------------------------------
