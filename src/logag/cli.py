@@ -9,7 +9,7 @@ Subcommands::
 Exit codes: 0 every query holds / every check passes, 1 some query fails,
 2 usage or parse error or any other engine error (inconsistent base facts,
 a bad indexing file), 3 a capacity limit was exceeded or the input nests
-too deeply.
+too deeply, 4 an internal error: a defect of the engine, not of the input.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def count(text: str) -> int:
@@ -233,6 +234,9 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
         return EXIT_CAPACITY
+    except Exception as exc:
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -20,7 +20,11 @@ participate in fusion: a proposition buried under k grading layers has been
 extracted through at most i of them, so deeper chains have not yet weighed
 in. This is what makes a proposition graded at several depths gain weight
 level by level, and it is why consequence sets can oscillate with the level
-instead of growing monotonically.
+instead of growing monotonically. The cut binds only so far: no chain is
+longer than the deepest grading spine d of the run's universe, so from step
+d on a step's output depends only on the filter of its base. A fixpoint
+reached there is settled: every later level repeats it, and
+``graded_consequences`` stops at it.
 
 Finite bases stand in for filters throughout: the expansion step represents
 the filter of the current base by every universe term it entails, so two
@@ -32,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from typing import Iterable, Optional
+from itertools import compress, count, islice
+from typing import Iterable, Iterator, Optional
 
 from .classical import (
     Kernel,
@@ -302,44 +306,40 @@ class TelescopeTrace:
     levels: tuple[LevelRecord, ...]
     context: RunContext
 
-    def final_base(self) -> frozenset[Term]:
-        return self.levels[-1].base
 
-
-def _run_levels(
-    theory: Theory,
-    canon: Canon,
-    queries: Iterable[Term],
-    limits: Limits,
-    stop_at_fixpoint: bool,
-) -> TelescopeTrace:
+def _run_context(theory: Theory, canon: Canon, queries: Iterable[Term], limits: Limits) -> RunContext:
     if canon.level > limits.level_cap:
         raise CapacityError("telescoping level", limits.level_cap, canon.level)
     universe = relevant_universe(theory, queries)
-    ctx = RunContext(
-        frozenset(universe.shared[t] for t in theory.terms), universe, canon.otimes, canon.oplus, limits
-    )
-    records: list[LevelRecord] = []
+    top = frozenset(universe.shared[t] for t in theory.terms)
+    return RunContext(top, universe, canon.otimes, canon.oplus, limits)
+
+
+def _run_levels(ctx: RunContext) -> Iterator[LevelRecord]:
+    """Records 0, 1, 2, ... of the run, without end: each consumer stops."""
     base = ctx.top
-    if not is_consistent(ctx.top, limits=limits, session=ctx.session):
-        # An inconsistent top theory already has the improper filter: every
-        # proposition is a consequence and conflict resolution cannot help.
-        everything = frozenset(ctx.universe.terms)
-        for index in range(canon.level + 1):
-            records.append(
-                LevelRecord(index, base, everything, frozenset(), everything, everything, True)
-            )
-            if stop_at_fixpoint:
-                break
-            base = everything
-        return TelescopeTrace(theory.name, canon, tuple(records), ctx)
-    for index in range(canon.level + 1):
-        record = telescope_once(base, index, ctx)
-        records.append(record)
-        if stop_at_fixpoint and record.fixpoint_reached:
-            break
+    # An inconsistent top theory already has the improper filter: every
+    # proposition is a consequence and conflict resolution cannot help.
+    consistent = is_consistent(ctx.top, limits=ctx.limits, session=ctx.session)
+    everything = frozenset() if consistent else frozenset(ctx.universe.terms)
+    for index in count():
+        if consistent:
+            record = telescope_once(base, index, ctx)
+        else:
+            record = LevelRecord(index, base, everything, frozenset(), everything, everything, True)
+        yield record
         base = record.supported
-    return TelescopeTrace(theory.name, canon, tuple(records), ctx)
+
+
+def _spine_depth(terms: Iterable[Term]) -> int:
+    """The most grading layers any term carries directly around its core."""
+    deepest = 0
+    for t in terms:
+        depth = 0
+        while isinstance(t, Grade):
+            depth, t = depth + 1, t.inner
+        deepest = max(deepest, depth)
+    return deepest
 
 
 def telescope_n(
@@ -353,7 +353,9 @@ def telescope_n(
     ``queries`` widen the universe so that answers about them (and conflicts
     their subterms participate in) are visible to the finite representation.
     """
-    return _run_levels(theory, canon, queries, limits, stop_at_fixpoint=False)
+    ctx = _run_context(theory, canon, queries, limits)
+    levels = tuple(islice(_run_levels(ctx), canon.level + 1))
+    return TelescopeTrace(theory.name, canon, levels, ctx)
 
 
 def graded_consequence(
@@ -372,11 +374,20 @@ def graded_consequences(
     queries: Iterable[Term],
     limits: Limits = DEFAULT_LIMITS,
 ) -> dict[Term, bool]:
-    """Batch form of :func:`graded_consequence` sharing one trace."""
+    """Batch form of :func:`graded_consequence` sharing one run.
+
+    Level L's base is step L-1's supported set: the run takes steps 0..L-1
+    at most, and stops at the first settled one (see the module docstring).
+    """
     query_list = list(queries)
-    trace = telescope_n(theory, canon, query_list, limits)
-    ctx = trace.context
-    answers = entails_each(trace.final_base(), query_list, limits=ctx.limits, session=ctx.session)
+    ctx = _run_context(theory, canon, query_list, limits)
+    depth = _spine_depth(ctx.universe.terms)
+    base = ctx.top
+    for record in islice(_run_levels(ctx), canon.level):
+        base = record.supported
+        if record.fixpoint_reached and record.index + 1 >= depth:
+            break
+    answers = entails_each(base, query_list, limits=ctx.limits, session=ctx.session)
     return dict(zip(query_list, answers))
 
 
@@ -400,11 +411,14 @@ def find_fixpoint(
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     canon = Canon(otimes, oplus, max_n - 1)
-    trace = _run_levels(theory, canon, (), limits, stop_at_fixpoint=True)
-    for record in trace.levels:
+    ctx = _run_context(theory, canon, (), limits)
+    levels: list[LevelRecord] = []
+    for record in islice(_run_levels(ctx), max_n):
+        levels.append(record)
         if record.fixpoint_reached:
-            return record.index, trace
-    return None, trace
+            break
+    trace = TelescopeTrace(theory.name, canon, tuple(levels), ctx)
+    return (record.index if record.fixpoint_reached else None), trace
 
 
 # ---------------------------------------------------------------------------

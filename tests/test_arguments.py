@@ -387,7 +387,7 @@ def _reference_reports(rules, idx):
         results = tuple((w, answers[w]) for w in targets)
         r1 = Theorem1Report(level, results, all(ok for _, ok in results))
 
-        final = telescope_n(theory, canon).final_base()
+        final = telescope_n(theory, canon).levels[-1].base
         consequences = [
             u for u in universe.terms if not isinstance(u, Grade) and entails(final, u)
         ]

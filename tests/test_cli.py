@@ -290,6 +290,24 @@ def test_over_deep_input_maps_to_exit_3(tmp_path, capsys):
     assert "error: input nests too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("graded_consequences", ["check", str(DATA / "ot1.logag"), "--query", "p"]),
+        ("telescope_n", ["trace", str(DATA / "ot1.logag")]),
+        ("verify", ["args", "verify", str(DATA / "penguin.rules")]),
+    ],
+    ids=["check", "trace", "verify"],
+)
+def test_an_unexpected_internal_error_exits_4_with_one_line(monkeypatch, capsys, target, argv):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(f"logag.cli.{target}", broken)
+    assert run(*argv) == (4, "")
+    assert capsys.readouterr().err == "error: internal error: KeyError('boom')\n"
+
+
 def test_trace_penguin16_matches_benchmark_reference(tmp_path):
     _, theory = run("args", "translate", str(DATA / "penguin.rules"))
     theory_file = tmp_path / "penguin.logag"

@@ -9,6 +9,7 @@ import oracles
 from conftest import random_term, random_theory
 
 from logag import (
+    CapacityError,
     Canon,
     EngineError,
     Grade,
@@ -27,7 +28,7 @@ from logag import (
     telescope_n,
     translate,
 )
-from logag.classical import Kernel, entails, is_consistent, mutually_entailing, relevant_universe
+from logag.classical import Kernel, entails, entails_each, is_consistent, mutually_entailing, relevant_universe
 from logag.errors import UngradedError
 from logag.grading import depth1_expansion, fused_grade, supported, survives, telescope_once, trace_to_dict
 from logag.terms import render
@@ -529,6 +530,112 @@ def test_graded_consequences_with_a_deeply_buried_conflict_member():
     queries = [T("p4"), T("p0"), T("p7")]
     got = graded_consequences(parse_theory(BURIED_THEORY), Canon("sum", "max", 4), queries)
     assert got == {T("p4"): True, T("p0"): False, T("p7"): True}
+
+
+def _spine(t):
+    depth = 0
+    while isinstance(t, Grade):
+        depth, t = depth + 1, t.inner
+    return depth
+
+
+def _tower(rng, core, depth):
+    for _ in range(depth):
+        core = Grade(core, Fraction(rng.randint(1, 5)))
+    return core
+
+
+def _settle_cases(rng):
+    """Seeded theories with queries: plain, with nested towers, inconsistent.
+
+    Every case's last query carries one or two more grading layers than the
+    deepest spine of its theory.
+    """
+    atoms = ["a", "b", "c", "d"]
+    for i in range(20):
+        terms = set(random_theory(rng, n_terms=rng.randint(2, 6), atoms=atoms, allow_grades=True).terms)
+        if i % 3 == 1:
+            for _ in range(rng.randint(1, 3)):
+                core = random_term(rng, atoms, 1, False)
+                terms.add(_tower(rng, core, rng.randint(1, 5)))
+                if rng.random() < 0.5:
+                    terms.add(_tower(rng, Not(core), rng.randint(1, 5)))
+        if i % 5 == 4:
+            terms |= {T("a"), T("~a")}
+        deepest = max(_spine(s) for t in terms for s in oracles.subterms(t))
+        queries = [random_term(rng, atoms, 2, True) for _ in range(2)]
+        queries.append(_tower(rng, random_term(rng, atoms, 1, False), deepest + rng.randint(1, 2)))
+        yield Theory("settle", (), frozenset(terms)), queries
+
+
+def test_graded_consequences_stops_at_the_first_settled_step(rng, monkeypatch):
+    """Answers equal the traced level's; steps run are 0..L-1 up to the settled one.
+
+    A step is settled when it cuts no chain (``index + 1`` reaches the
+    deepest spine of the run's universe) and reaches a fixpoint; every later
+    traced base repeats its supported set. An inconsistent top theory takes
+    no step at all.
+    """
+    steps = []
+    step = grading.telescope_once
+
+    def counted(base, index, ctx):
+        steps.append(index)
+        return step(base, index, ctx)
+
+    monkeypatch.setattr(grading, "telescope_once", counted)
+    cases = inconsistent = settled_early = 0
+    for th, queries in _settle_cases(rng):
+        consistent = is_consistent(th.terms, limits=WIDE)
+        inconsistent += not consistent
+        for otimes, oplus in OPERATORS:
+            full = telescope_n(th, Canon(otimes, oplus, 6), queries, WIDE)
+            depth = max(_spine(t) for t in full.context.universe.terms)
+            settled = next(
+                (lv.index for lv in full.levels if lv.fixpoint_reached and lv.index + 1 >= depth), None
+            )
+            if settled is not None:
+                assert all(lv.base == full.levels[settled].supported for lv in full.levels[settled + 1 :])
+            for level in range(7):
+                canon = Canon(otimes, oplus, level)
+                base = telescope_n(th, canon, queries, WIDE).levels[-1].base
+                expected = dict(zip(queries, entails_each(base, queries, limits=WIDE)))
+                steps.clear()
+                assert graded_consequences(th, canon, queries, WIDE) == expected
+                taken = level if settled is None else min(level, settled + 1)
+                assert steps == (list(range(taken)) if consistent else [])
+                settled_early += consistent and taken < level
+                cases += 1
+    assert cases == 20 * 8 * 7
+    assert inconsistent >= 4 and settled_early >= 100
+
+
+def test_a_fixpoint_reached_while_the_cut_still_binds_is_not_final():
+    """A translated seeded system: steps 2 and 3 reach a fixpoint, step 4 does not.
+
+    Its deepest spine is 7 grading layers, so steps 2 and 3 still cut
+    chains, and level 5 entails ``d`` where level 3 does not.
+    """
+    rules = parse_rules(
+        "f0: b.\nf1: true.\nd0: true => ~b.\nd1: ~c, ~c => ~a.\n"
+        "d2: b, true => d.\nm3: b -> b.\nm4: true, ~b -> b.\n"
+    )
+    th = translate(rules, default_indexing(rules))
+    trace = telescope_n(th, Canon("sum", "max", 4), limits=WIDE)
+    assert [lv.fixpoint_reached for lv in trace.levels] == [False, False, True, True, False]
+    answers = {n: graded_consequence(th, Canon("sum", "max", n), T("d"), WIDE) for n in (3, 5)}
+    assert answers == {3: False, 5: True}
+
+
+def test_a_capacity_limit_only_the_unread_step_hits_stops_no_answer():
+    """Level 1 reads step 0 only; step 1, which meets the kernel, is not taken."""
+    th = parse_theory("G(G(a, 1), 1). G(G(~a, 1), 1).")
+    tight = Limits(kernel_cap=1)
+    assert graded_consequences(th, Canon("sum", "max", 1), [T("a")], tight) == {T("a"): False}
+    with pytest.raises(CapacityError):
+        graded_consequences(th, Canon("sum", "max", 2), [T("a")], tight)
+    with pytest.raises(CapacityError):
+        telescope_n(th, Canon("sum", "max", 1), limits=tight)
 
 
 def test_ot1_level1(ot1):
