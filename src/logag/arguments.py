@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, compress, product
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .classical import entails_each, is_consistent
@@ -439,16 +439,16 @@ def check_theorem2(
     ``ctx`` that trace's context, whose universe is the theory's. Each
     non-grading universe term the graded filter contains must follow
     classically from the structure's own rules together with a maximal set
-    of monotonic rules consistent with them. All maximal sets are checked,
+    of monotonic rules consistent with them; the step leaving the level put
+    that filter in the run's table. All maximal sets are checked,
     and ``ctx.session`` answers the consistency checks that find them.
     :class:`CapacityError` is raised when the monotonic rules have more
     subsets than ``ctx.limits.subset_cap``. Grading terms are skipped: they
     are never rule images.
     """
     limits, session = ctx.limits, ctx.session
-    candidates = [u for u in ctx.universe.terms if not isinstance(u, Grade)]
-    in_filter = entails_each(record.base, candidates, limits=limits, session=session)
-    consequences = list(compress(candidates, in_filter))
+    in_filter = ctx.filter(record.base)
+    consequences = [u for u in ctx.universe.terms if u in in_filter and not isinstance(u, Grade)]
     structure_base = frozenset(pi(r) for r in rules_of_structure(t, rules))
     failures = []
     for extension in _maximal_consistent_extensions(structure_base, rules, ctx):

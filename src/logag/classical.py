@@ -29,11 +29,12 @@ keeps one as its map, pushing each blocking clause as it is found. A
 - a memo of every answer found, keyed ``(base, goal)``.
 
 A session answers one question, entailment. Consistency is the entailment
-of ``FALSE`` (``~true``) read negated, so every consistency check of a
-kernel search is a memoized question ``(subset, ~true)`` to the session:
-first the whole queried set, when its distinct atoms fit ``atom_cap``,
-then each atom-connected component, then each seed and shrink step of the
-component's map.
+of ``FALSE`` (``~true``) read negated: ``satisfiable`` asks it, and
+``is_consistent`` is the same function under a second name. Every
+consistency check of a kernel search is a memoized question
+``(subset, ~true)`` to the session: first the whole queried set, when its
+distinct atoms fit ``atom_cap``, then each atom-connected component, then
+each seed and shrink step of the component's map.
 
 The universe holds one object per distinct term, each child the universe's
 own object too, so a run's sets, memo keys and filters find equal terms by
@@ -390,11 +391,7 @@ def entails_each(
     return [session.entails(base_fs, goal, limits) for goal in goals]
 
 
-def is_consistent(
-    base: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS, session: Optional[Session] = None
-) -> bool:
-    """True iff some valuation satisfies all of ``base``."""
-    return satisfiable(base, limits=limits, session=session)
+is_consistent = satisfiable
 
 
 def mutually_entailing(
@@ -577,9 +574,6 @@ def bottom_kernels(
     entries = [session.compiled(t) for t in candidates]
     kernels: list[frozenset[Term]] = []
     for group in _components(entries):
-        atoms = {atom for i in group for atom in entries[i].atoms}
-        if len(atoms) > limits.atom_cap:
-            raise CapacityError("atom count", limits.atom_cap, len(atoms))
         members = [candidates[i] for i in group]
         if not session.entails(frozenset(members), FALSE, limits):
             continue

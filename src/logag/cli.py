@@ -33,7 +33,7 @@ from .arguments import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError, ParseError
-from .grading import Canon, graded_consequences, telescope_n, trace_to_dict
+from .grading import OPLUS, OTIMES, Canon, graded_consequences, telescope_n, trace_to_dict
 from .terms import parse_term, parse_theory, render, theory_to_text
 
 EXIT_OK = 0
@@ -64,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("theory")
     check.add_argument("--query", action="append", required=True)
     check.add_argument("--level", type=count, default=1)
-    check.add_argument("--otimes", choices=["sum", "mean", "min", "max"], default="sum")
-    check.add_argument("--oplus", choices=["max", "min"], default="max")
+    check.add_argument("--otimes", choices=list(OTIMES), default="sum")
+    check.add_argument("--oplus", choices=list(OPLUS), default="max")
     check.add_argument("--format", choices=["text", "json"], default="text")
 
     trace = sub.add_parser(
@@ -73,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("theory")
     trace.add_argument("--max-level", type=count, default=4)
-    trace.add_argument("--otimes", choices=["sum", "mean", "min", "max"], default="sum")
-    trace.add_argument("--oplus", choices=["max", "min"], default="max")
+    trace.add_argument("--otimes", choices=list(OTIMES), default="sum")
+    trace.add_argument("--oplus", choices=list(OPLUS), default="max")
     trace.add_argument("--format", choices=["text", "json"], default="text")
     trace.add_argument("--query", action="append", default=[])
 

@@ -12,7 +12,9 @@ One telescoping step takes a base of believed propositions and
    outermost grading proposition the supported set entails (``supported``).
 
 ``telescope_once`` takes the whole step, where steps 2 and 3 read one
-``GradeTable`` of the expansion, and ``telescope_n`` iterates it.
+``GradeTable``, one walk of the expansion's grading spines that records
+both the chains fusion reads and the buriers support reads, and
+``telescope_n`` iterates it.
 
 Grades fuse along a chain with the ``otimes`` operator and across chains
 with ``oplus``. At telescoping step i only chains of length at most i
@@ -34,7 +36,7 @@ filter per base (``RunContext.filter``), asked for once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, count, islice
 from typing import Iterable, Iterator, Optional
@@ -86,17 +88,17 @@ class RunContext:
 
     The step index is not part of it: each step receives its own. The grade
     order is the numeric order on exact rationals, the single total order
-    the grade sort carries here. ``session`` is the run's SAT session: its
-    term table, its loaded base and its memo of every entailment answer the
-    run has found. ``filters`` maps each base the run asks ``filter`` about
+    the grade sort carries here. Each step fuses with ``canon``'s operators
+    at its own level. ``session`` is the run's SAT session: its term table,
+    its loaded base and its memo of every entailment answer the run has
+    found. ``filters`` maps each base the run asks ``filter`` about
     to its filter, the universe terms it entails, and ``refutations`` each
     term ``refuted`` is asked about to its answer; all live with the context.
     """
 
     top: frozenset[Term]
     universe: Universe
-    otimes: str
-    oplus: str
+    canon: Canon
     limits: Limits = DEFAULT_LIMITS
     session: Session = field(default_factory=Session, compare=False, repr=False)
     filters: dict[frozenset[Term], frozenset[Term]] = field(default_factory=dict, compare=False, repr=False)
@@ -132,19 +134,7 @@ def fused_grade(p: Term, q: Iterable[Term], canon: Canon) -> GradeValue:
     ``canon.level`` are not yet in play at that level and are ignored;
     raises :class:`UngradedError` when no chain qualifies.
     """
-    otimes = OTIMES[canon.otimes]
-    per_chain = []
-    for t in q:
-        grades: list[GradeValue] = []
-        while isinstance(t, Grade) and len(grades) < canon.level:
-            grades.append(t.grade)
-            t = t.inner
-            if t == p:
-                per_chain.append(otimes(grades))
-                break
-    if not per_chain:
-        raise UngradedError(f"{render(p)} has no grading chain within level {canon.level}")
-    return OPLUS[canon.oplus](per_chain)
+    return GradeTable(q, canon).fused(p)
 
 
 class GradeTable:
@@ -153,28 +143,38 @@ class GradeTable:
     ``graded`` holds the propositions with an immediate grader G(p, g) in
     the expansion; a proposition buried deeper is not graded yet. ``buriers``
     maps each buried proposition to the members whose spine reaches it:
-    walking G(G(f,2),3) buries ``G(f,2)`` and ``f``. ``fused`` fuses a
-    proposition's chains at ``canon.level`` on first request and keeps the
-    grade for the rest of the step.
+    walking G(G(f,2),3) buries ``G(f,2)`` and ``f``. ``chains`` maps it to
+    the grades each of those spines carries down to it, outermost first,
+    keeping only chains of at most ``canon.level`` grades. ``fused`` fuses a
+    proposition's chains on first request and keeps the grade for the rest
+    of the step.
     """
 
     def __init__(self, q: Iterable[Term], canon: Canon):
         self.canon = canon
         self.graded: set[Term] = set()
         self.buriers: dict[Term, list[Term]] = {}
+        self.chains: dict[Term, list[tuple[GradeValue, ...]]] = {}
         self._fused: dict[Term, GradeValue] = {}
         for t in q:
             if isinstance(t, Grade):
                 self.graded.add(t.inner)
-            cursor = t
+            cursor, grades = t, ()
             while isinstance(cursor, Grade):
+                grades += (cursor.grade,)
                 cursor = cursor.inner
                 self.buriers.setdefault(cursor, []).append(t)
+                if len(grades) <= canon.level:
+                    self.chains.setdefault(cursor, []).append(grades)
 
     def fused(self, p: Term) -> GradeValue:
         grade = self._fused.get(p)
         if grade is None:
-            grade = self._fused[p] = fused_grade(p, self.buriers.get(p, ()), self.canon)
+            chains = self.chains.get(p)
+            if not chains:
+                raise UngradedError(f"{render(p)} has no grading chain within level {self.canon.level}")
+            otimes = OTIMES[self.canon.otimes]
+            grade = self._fused[p] = OPLUS[self.canon.oplus]([otimes(c) for c in chains])
         return grade
 
 
@@ -284,7 +284,7 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
     """
     expansion = depth1_expansion(base, ctx)
     kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
-    table = GradeTable(expansion, Canon(ctx.otimes, ctx.oplus, index + 1))
+    table = GradeTable(expansion, replace(ctx.canon, level=index + 1))
     survivors = frozenset(
         p for p in expansion if all(survives(p, x, table, ctx) for x in kernels if p in x.members)
     )
@@ -302,7 +302,6 @@ class TelescopeTrace:
     """The levels of one run, and the run's context with its session."""
 
     theory_name: str
-    canon: Canon
     levels: tuple[LevelRecord, ...]
     context: RunContext
 
@@ -312,7 +311,7 @@ def _run_context(theory: Theory, canon: Canon, queries: Iterable[Term], limits: 
         raise CapacityError("telescoping level", limits.level_cap, canon.level)
     universe = relevant_universe(theory, queries)
     top = frozenset(universe.shared[t] for t in theory.terms)
-    return RunContext(top, universe, canon.otimes, canon.oplus, limits)
+    return RunContext(top, universe, canon, limits)
 
 
 def _run_levels(ctx: RunContext) -> Iterator[LevelRecord]:
@@ -355,7 +354,7 @@ def telescope_n(
     """
     ctx = _run_context(theory, canon, queries, limits)
     levels = tuple(islice(_run_levels(ctx), canon.level + 1))
-    return TelescopeTrace(theory.name, canon, levels, ctx)
+    return TelescopeTrace(theory.name, levels, ctx)
 
 
 def graded_consequence(
@@ -410,14 +409,13 @@ def find_fixpoint(
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    canon = Canon(otimes, oplus, max_n - 1)
-    ctx = _run_context(theory, canon, (), limits)
+    ctx = _run_context(theory, Canon(otimes, oplus, max_n - 1), (), limits)
     levels: list[LevelRecord] = []
     for record in islice(_run_levels(ctx), max_n):
         levels.append(record)
         if record.fixpoint_reached:
             break
-    trace = TelescopeTrace(theory.name, canon, tuple(levels), ctx)
+    trace = TelescopeTrace(theory.name, tuple(levels), ctx)
     return (record.index if record.fixpoint_reached else None), trace
 
 
@@ -434,9 +432,9 @@ def trace_to_dict(trace: TelescopeTrace) -> dict:
     return {
         "theory": trace.theory_name,
         "canon": {
-            "otimes": trace.canon.otimes,
-            "oplus": trace.canon.oplus,
-            "level": trace.canon.level,
+            "otimes": trace.context.canon.otimes,
+            "oplus": trace.context.canon.oplus,
+            "level": trace.context.canon.level,
         },
         "levels": [
             {

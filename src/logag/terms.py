@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import ParseError
 
@@ -302,6 +302,14 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "punct" and tok.text == text
 
+    def listed(self, item: Callable[[], object]) -> list:
+        """``item ("," item)*``: what ``item`` parses, one or more times."""
+        items = [item()]
+        while self.at_punct(","):
+            self.advance()
+            items.append(item())
+        return items
+
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
@@ -405,10 +413,7 @@ class _Parser:
         if not self.at_punct("("):
             return ()
         self.advance()
-        args = [self.individual()]
-        while self.at_punct(","):
-            self.advance()
-            args.append(self.individual())
+        args = self.listed(self.individual)
         self.expect("punct", ")")
         return tuple(args)
 
@@ -437,10 +442,7 @@ def rule_statements(text: str) -> Iterator[tuple[str, Optional[str], tuple[Term,
             raise ParseError("duplicate rule label", label.line, label.column)
         labels.add(label.text)
         parser.expect("punct", ":")
-        literals = [parser.literal()]
-        while parser.at_punct(","):
-            parser.advance()
-            literals.append(parser.literal())
+        literals = parser.listed(parser.literal)
         if parser.peek().kind in ("arrow", "darrow"):
             arrow = parser.advance().text
             premises, conclusion = tuple(literals), parser.literal()
@@ -506,10 +508,7 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
             parser.expect("punct", "{")
             members: list[Individual] = []
             if parser.peek().kind == "ident":
-                members.append(Individual(parser.expect("ident").text))
-                while parser.at_punct(","):
-                    parser.advance()
-                    members.append(Individual(parser.expect("ident").text))
+                members = parser.listed(lambda: Individual(parser.expect("ident").text))
             parser.expect("punct", "}")
             parser.expect("punct", ".")
             if not members:
@@ -519,10 +518,7 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
             domains[dom_tok.text] = tuple(members)
         elif tok.kind == "ident" and tok.text == "forall":
             parser.advance()
-            variables = [parser.expect("ident").text]
-            while parser.at_punct(","):
-                parser.advance()
-                variables.append(parser.expect("ident").text)
+            variables = parser.listed(lambda: parser.expect("ident").text)
             if len(set(variables)) != len(variables):
                 raise ParseError("duplicate variable in forall", tok.line, tok.column)
             parser.expect("ident", "in")

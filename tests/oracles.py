@@ -5,7 +5,9 @@ truth-table evaluation, kernel enumeration is brute-force subset search,
 grading chains are peeled layer by layer and fused as peeled, survival
 follows the rule ``survives`` documents, and argument structures are
 checked against their four defining conditions one by one, and the universe
-is the closure under ``subterms``. Slow and simple on purpose.
+is the closure under ``subterms``. Stable models of normal logic programs
+come from the Gelfond-Lifschitz reduct, candidate by candidate. Slow and
+simple on purpose.
 """
 
 from fractions import Fraction
@@ -220,3 +222,51 @@ def random_rule_system(rng, name="random"):
         label = "d" if arrow == "=>" else "m"
         lines.append(f"{label}{i}: {', '.join(premises)} {arrow} {conclusion}.")
     return parse_rules("\n".join(lines) + "\n", name)
+
+
+NAF_ATOMS = ("a", "b", "c")
+
+
+def random_normal_program(rng, name="program"):
+    """A seeded normal logic program over ``NAF_ATOMS`` and its rule system.
+
+    The program is 1-4 clauses ``(head, positive, negative)``: ``head`` holds
+    when every atom of ``positive`` does and none of ``negative`` does (each
+    body names at most two atoms of each kind). The rule system encodes it
+    for negation as failure: the fact ``f0: true.``; per clause
+    ``h <- p, not r`` the monotonic rule ``p, ~r -> h`` (premise ``true`` when
+    the body is empty); per atom ``x`` the default ``true => ~x``.
+    """
+    program = [
+        (rng.choice(NAF_ATOMS), tuple(rng.sample(NAF_ATOMS, rng.randint(0, 2))),
+         tuple(rng.sample(NAF_ATOMS, rng.randint(0, 2))))
+        for _ in range(rng.randint(1, 4))
+    ]
+    lines = ["f0: true."]
+    for i, (head, positive, negative) in enumerate(program):
+        premises = [*positive, *(f"~{r}" for r in negative)] or ["true"]
+        lines.append(f"m{i}: {', '.join(premises)} -> {head}.")
+    lines += [f"d{x}: true => ~{x}." for x in NAF_ATOMS]
+    return program, parse_rules("\n".join(lines) + "\n", name)
+
+
+def stable_models(program) -> set:
+    """Every stable model of ``program``, as a frozenset of atom names.
+
+    A candidate M is stable when it is the least model of the reduct P^M:
+    drop each clause with a negated atom in M, then drop the negations from
+    the rest (Gelfond and Lifschitz, ICLP 1988).
+    """
+    models = set()
+    for bits in product((False, True), repeat=len(NAF_ATOMS)):
+        m = frozenset(x for x, b in zip(NAF_ATOMS, bits) if b)
+        reduct = [(head, positive) for head, positive, negative in program if not m.intersection(negative)]
+        least: set = set()
+        while True:
+            new = {head for head, positive in reduct if least.issuperset(positive)} - least
+            if not new:
+                break
+            least |= new
+        if least == m:
+            models.add(m)
+    return models

@@ -510,3 +510,24 @@ def test_seeded_theorem_sweep_fails_no_check_that_passes_today():
         for i, (_, r1, r2) in enumerate(verify(rules, default_indexing(rules, limits), limits)):
             failing |= {(seed, i, theorem) for theorem, r in ((1, r1), (2, r2)) if not r.passed}
     assert failing <= known, sorted(failing - known)
+
+
+def test_deciding_structures_of_a_normal_program_are_its_stable_models():
+    """Argument systems capture negation as failure (Lin and Shoham, KR 1989).
+
+    Under ``oracles.random_normal_program``'s encoding, the argument
+    structures whose wffs decide every atom are exactly the program's
+    stable models, each read as the atoms it holds.
+    """
+    rng = random.Random("logag::naf")
+    with_models = 0
+    for seed in range(200):
+        program, rules = oracles.random_normal_program(rng, f"program{seed}")
+        deciding = set()
+        for s in enumerate_structures(rules):
+            held = {render(w) for w in wffs(s)}
+            if all(x in held or f"~{x}" in held for x in oracles.NAF_ATOMS):
+                deciding.add(frozenset(x for x in oracles.NAF_ATOMS if x in held))
+        assert deciding == oracles.stable_models(program), (seed, program)
+        with_models += bool(deciding)
+    assert with_models >= 100

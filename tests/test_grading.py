@@ -1,6 +1,7 @@
 import copy
 import gc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,7 +44,7 @@ MEAN_MAX = lambda n: Canon("mean", "max", n)
 
 
 def context(theory, otimes="mean", oplus="max", queries=()):
-    return RunContext(theory.terms, relevant_universe(theory, queries), otimes, oplus)
+    return RunContext(theory.terms, relevant_universe(theory, queries), Canon(otimes, oplus, 0))
 
 
 # -- chains and fusion -------------------------------------------------------
@@ -53,7 +54,7 @@ OPERATORS = [(otimes, oplus) for otimes in ("sum", "mean", "min", "max") for opl
 
 
 def table(q, ctx, step):
-    return GradeTable(q, Canon(ctx.otimes, ctx.oplus, step))
+    return GradeTable(q, replace(ctx.canon, level=step))
 
 
 def test_single_chain_from_nested_grading():
@@ -430,7 +431,7 @@ def test_steps_read_from_the_filter_table_match_fresh_sessions(rng, otimes, oplu
             continue
         trace = telescope_n(th, Canon(otimes, oplus, 4), limits=WIDE)
         for record in trace.levels:
-            fresh = RunContext(th.terms, trace.context.universe, otimes, oplus, WIDE)
+            fresh = RunContext(th.terms, trace.context.universe, Canon(otimes, oplus, 4), WIDE)
             assert record.expansion == depth1_expansion(record.base, fresh)
             assert record.fixpoint_reached == mutually_entailing(record.supported, record.base, limits=WIDE)
             checked += 1
@@ -497,7 +498,7 @@ def test_refuted_matches_entailment_of_the_negation(rng):
     checked = 0
     for th in _seeded_theories(rng):
         negations = [Not(t) for t in sorted(th.terms, key=render)[:2]]
-        ctx = RunContext(th.terms, relevant_universe(th, negations), "sum", "max", WIDE)
+        ctx = RunContext(th.terms, relevant_universe(th, negations), Canon("sum", "max", 0), WIDE)
         for t in ctx.universe.terms:
             assert ctx.refuted(t) == entails(ctx.top, Not(t), limits=WIDE)
             checked += Not(t) in ctx.universe.term_set
@@ -675,6 +676,16 @@ def test_trace_export_schema(penguin_brother):
         ["f", "p", "~p | ~f"],
         ["f", "~f"],
     ]
+
+
+def test_each_trace_reports_the_canon_its_run_was_given(penguin_brother, ot1):
+    """Both trace producers: ``find_fixpoint`` runs at level ``max_n - 1``."""
+    _, trace = find_fixpoint(penguin_brother, "mean", "max", 6)
+    assert trace_to_dict(trace)["canon"] == {"otimes": "mean", "oplus": "max", "level": 5}
+    for canon in (Canon("min", "min", 0), Canon("sum", "max", 3)):
+        trace = telescope_n(ot1, canon)
+        assert trace.context.canon == canon
+        assert trace_to_dict(trace)["canon"] == {"otimes": canon.otimes, "oplus": canon.oplus, "level": canon.level}
 
 
 def test_determinism(penguin_brother):
