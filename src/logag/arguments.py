@@ -24,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Optional
 
 from .classical import entails_each, is_consistent
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError, ParseError
-from .grading import Canon, LevelRecord, RunContext, telescope_n
+from .grading import Canon, RunContext, run_context, run_levels
 from .terms import (
     And,
     Atom,
@@ -393,16 +393,16 @@ class Theorem1Report:
     passed: bool
 
 
-def check_theorem1(t: ArgumentStructure, record: LevelRecord, ctx: RunContext) -> Theorem1Report:
+def check_theorem1(t: ArgumentStructure, level: int, base: frozenset[Term], ctx: RunContext) -> Theorem1Report:
     """Every supported formula of the structure holds at its level.
 
-    ``record`` is the structure's level in the translated theory's trace,
-    and ``ctx`` that trace's context.
+    ``base`` is the structure's level ``level`` in a run of the translated
+    theory, and ``ctx`` that run's context.
     """
     targets = sorted(wffs(t), key=render)
-    answers = entails_each(record.base, targets, limits=ctx.limits, session=ctx.session)
+    answers = entails_each(base, targets, limits=ctx.limits, session=ctx.session)
     results = tuple(zip(targets, answers))
-    return Theorem1Report(record.index, results, all(ok for _, ok in results))
+    return Theorem1Report(level, results, all(ok for _, ok in results))
 
 
 @dataclass(frozen=True)
@@ -431,31 +431,32 @@ def _maximal_consistent_extensions(
 
 
 def check_theorem2(
-    rules: RuleSet, t: ArgumentStructure, record: LevelRecord, ctx: RunContext
+    rules: RuleSet, t: ArgumentStructure, level: int, base: frozenset[Term], ctx: RunContext
 ) -> Theorem2Report:
     """Every graded consequence at the structure's level is classically forced.
 
-    ``record`` is the structure's level in the translated theory's trace and
-    ``ctx`` that trace's context, whose universe is the theory's. Each
-    non-grading universe term the graded filter contains must follow
+    ``base`` is the structure's level ``level`` in a run of the translated
+    theory and ``ctx`` that run's context, whose universe is the theory's.
+    Each non-grading universe term the graded filter contains must follow
     classically from the structure's own rules together with a maximal set
-    of monotonic rules consistent with them; the step leaving the level put
-    that filter in the run's table. All maximal sets are checked,
+    of monotonic rules consistent with them; the filter is read from the
+    run's table, ``ctx.filter(base)``, which a step from that level already
+    filled unless the level is the run's last. All maximal sets are checked,
     and ``ctx.session`` answers the consistency checks that find them.
     :class:`CapacityError` is raised when the monotonic rules have more
     subsets than ``ctx.limits.subset_cap``. Grading terms are skipped: they
     are never rule images.
     """
     limits, session = ctx.limits, ctx.session
-    in_filter = ctx.filter(record.base)
+    in_filter = ctx.filter(base)
     consequences = [u for u in ctx.universe.terms if u in in_filter and not isinstance(u, Grade)]
     structure_base = frozenset(pi(r) for r in rules_of_structure(t, rules))
     failures = []
     for extension in _maximal_consistent_extensions(structure_base, rules, ctx):
-        base = structure_base | {pi(r) for r in extension}
-        answers = entails_each(base, consequences, limits=limits, session=session)
-        failures.extend((u, base) for u, yes in zip(consequences, answers) if not yes)
-    return Theorem2Report(record.index, tuple(failures), not failures)
+        forcing = structure_base | {pi(r) for r in extension}
+        answers = entails_each(forcing, consequences, limits=limits, session=session)
+        failures.extend((u, forcing) for u, yes in zip(consequences, answers) if not yes)
+    return Theorem2Report(level, tuple(failures), not failures)
 
 
 def verify(
@@ -465,21 +466,23 @@ def verify(
 ) -> tuple[tuple[ArgumentStructure, Theorem1Report, Theorem2Report], ...]:
     """Both harnesses over every argument structure, smallest first.
 
-    The rules are translated once and telescoped once, to the highest
-    structure level. A telescoping step never depends on how far the run
-    goes, so that trace holds every structure's level.
+    The rules are translated once and telescoped in one run to the highest
+    structure level L: level 0's base is the top theory and level i+1's is
+    step i's supported set, so the run takes steps 0..L-1 only. A step never
+    depends on how far the run goes, so this run holds every structure's
+    level, and a capacity limit that only step L would hit stops nothing.
     """
     structures = enumerate_structures(rules, limits)
     if not structures:
         return ()
     levels = [structure_level(s, rules, idx) for s in structures]
-    theory = translate(rules, idx, limits)
-    trace = telescope_n(theory, Canon("sum", "max", max(levels)), (), limits)
+    ctx = run_context(translate(rules, idx, limits), Canon("sum", "max", max(levels)), (), limits)
+    bases = [ctx.top, *(record.supported for record in islice(run_levels(ctx), ctx.canon.level))]
     return tuple(
         (
             s,
-            check_theorem1(s, trace.levels[level], trace.context),
-            check_theorem2(rules, s, trace.levels[level], trace.context),
+            check_theorem1(s, level, bases[level], ctx),
+            check_theorem2(rules, s, level, bases[level], ctx),
         )
         for s, level in zip(structures, levels)
     )

@@ -14,7 +14,9 @@ One telescoping step takes a base of believed propositions and
 ``telescope_once`` takes the whole step, where steps 2 and 3 read one
 ``GradeTable``, one walk of the expansion's grading spines that records
 both the chains fusion reads and the buriers support reads, and
-``telescope_n`` iterates it.
+``run_levels`` iterates it over one run, from which ``telescope_n``,
+``find_fixpoint``, ``graded_consequences`` and ``arguments.verify`` each
+take the levels they need.
 
 Grades fuse along a chain with the ``otimes`` operator and across chains
 with ``oplus``. At telescoping step i only chains of length at most i
@@ -306,7 +308,8 @@ class TelescopeTrace:
     context: RunContext
 
 
-def _run_context(theory: Theory, canon: Canon, queries: Iterable[Term], limits: Limits) -> RunContext:
+def run_context(theory: Theory, canon: Canon, queries: Iterable[Term], limits: Limits) -> RunContext:
+    """The context of one run to ``canon.level``, refused above ``limits.level_cap``."""
     if canon.level > limits.level_cap:
         raise CapacityError("telescoping level", limits.level_cap, canon.level)
     universe = relevant_universe(theory, queries)
@@ -314,7 +317,7 @@ def _run_context(theory: Theory, canon: Canon, queries: Iterable[Term], limits: 
     return RunContext(top, universe, canon, limits)
 
 
-def _run_levels(ctx: RunContext) -> Iterator[LevelRecord]:
+def run_levels(ctx: RunContext) -> Iterator[LevelRecord]:
     """Records 0, 1, 2, ... of the run, without end: each consumer stops."""
     base = ctx.top
     # An inconsistent top theory already has the improper filter: every
@@ -352,8 +355,8 @@ def telescope_n(
     ``queries`` widen the universe so that answers about them (and conflicts
     their subterms participate in) are visible to the finite representation.
     """
-    ctx = _run_context(theory, canon, queries, limits)
-    levels = tuple(islice(_run_levels(ctx), canon.level + 1))
+    ctx = run_context(theory, canon, queries, limits)
+    levels = tuple(islice(run_levels(ctx), canon.level + 1))
     return TelescopeTrace(theory.name, levels, ctx)
 
 
@@ -379,10 +382,10 @@ def graded_consequences(
     at most, and stops at the first settled one (see the module docstring).
     """
     query_list = list(queries)
-    ctx = _run_context(theory, canon, query_list, limits)
+    ctx = run_context(theory, canon, query_list, limits)
     depth = _spine_depth(ctx.universe.terms)
     base = ctx.top
-    for record in islice(_run_levels(ctx), canon.level):
+    for record in islice(run_levels(ctx), canon.level):
         base = record.supported
         if record.fixpoint_reached and record.index + 1 >= depth:
             break
@@ -409,9 +412,9 @@ def find_fixpoint(
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    ctx = _run_context(theory, Canon(otimes, oplus, max_n - 1), (), limits)
+    ctx = run_context(theory, Canon(otimes, oplus, max_n - 1), (), limits)
     levels: list[LevelRecord] = []
-    for record in islice(_run_levels(ctx), max_n):
+    for record in islice(run_levels(ctx), max_n):
         levels.append(record)
         if record.fixpoint_reached:
             break

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from logag import (
     Canon,
+    DEFAULT_LIMITS,
     CapacityError,
     EngineError,
     Grade,
@@ -39,6 +41,7 @@ from logag.arguments import (
     structure_level,
 )
 from logag.classical import entails, is_consistent, relevant_universe
+from logag import grading
 from logag.grading import fused_grade
 import oracles
 from oracles import random_rule_system, validate_structure
@@ -373,35 +376,38 @@ def test_theorem2_refuses_more_monotonic_subsets_than_the_cap(penguin_rules):
     )
 
 
-def _reference_reports(rules, idx):
+def _reference_reports(rules, idx, limits=DEFAULT_LIMITS):
     """Both harnesses the long way: one telescoping run per structure."""
-    theory = translate(rules, idx)
+    structures = enumerate_structures(rules, limits)
+    if not structures:
+        return ()
+    theory = translate(rules, idx, limits)
     universe = relevant_universe(theory)
     mono = rules.monotonic()
     reports = []
-    for s in enumerate_structures(rules):
+    for s in structures:
         level = structure_level(s, rules, idx)
         canon = Canon("sum", "max", level)
         targets = sorted(wffs(s), key=render)
-        answers = graded_consequences(theory, canon, targets)
+        answers = graded_consequences(theory, canon, targets, limits)
         results = tuple((w, answers[w]) for w in targets)
         r1 = Theorem1Report(level, results, all(ok for _, ok in results))
 
-        final = telescope_n(theory, canon).levels[-1].base
+        final = telescope_n(theory, canon, (), limits).levels[-1].base
         consequences = [
-            u for u in universe.terms if not isinstance(u, Grade) and entails(final, u)
+            u for u in universe.terms if not isinstance(u, Grade) and entails(final, u, limits=limits)
         ]
         core = frozenset(pi(r) for r in rules_of_structure(s, rules))
         consistent = [
             frozenset(c)
             for n in range(len(mono) + 1)
             for c in combinations(mono, n)
-            if is_consistent(core | {pi(r) for r in c})
+            if is_consistent(core | {pi(r) for r in c}, limits=limits)
         ]
         maximal = [c for c in consistent if not any(c < other for other in consistent)]
         maximal.sort(key=lambda c: sorted(r.label for r in c))
         bases = tuple(core | {pi(r) for r in c} for c in maximal)
-        failures = tuple((u, b) for b in bases for u in consequences if not entails(b, u))
+        failures = tuple((u, b) for b in bases for u in consequences if not entails(b, u, limits=limits))
         r2 = Theorem2Report(level, failures, not failures)
         reports.append((s, r1, r2))
     return tuple(reports)
@@ -428,6 +434,56 @@ def test_verify_matches_per_structure_reference(penguin_rules, rules_text, index
         default_indexing(rules) if indexing_text is None else parse_indexing(indexing_text, rules)
     )
     assert verify(rules, idx) == _reference_reports(rules, idx)
+
+
+def test_verify_matches_per_structure_reference_on_seeded_systems():
+    limits = Limits(atom_cap=256)
+    compared = 0
+    for seed in range(60):
+        rules = random_rule_system(random.Random(seed))
+        idx = default_indexing(rules, limits)
+        expected = _reference_reports(rules, idx, limits)
+        assert verify(rules, idx, limits) == expected, seed
+        compared += bool(expected)
+    assert compared == 52  # the other 8 systems have no structure
+
+
+CHAIN3 = Path(__file__).parent.parent / "benchmarks" / "inputs" / "chain3.rules"
+
+
+def _chain3():
+    return parse_rules(CHAIN3.read_text(encoding="utf-8"), "chain3")
+
+
+def test_verify_takes_no_step_past_the_highest_structure_level(monkeypatch):
+    """chain3's highest structure level is 6, read off step 5's supported set."""
+    steps = []
+    step = grading.telescope_once
+
+    def counted(base, index, ctx):
+        steps.append(index)
+        return step(base, index, ctx)
+
+    monkeypatch.setattr(grading, "telescope_once", counted)
+    rules = _chain3()
+    idx = default_indexing(rules)
+    reports = verify(rules, idx, Limits(atom_cap=256))
+    assert max(r1.level for _, r1, _ in reports) == 6
+    assert steps == [0, 1, 2, 3, 4, 5]
+
+
+def test_a_cap_only_the_step_past_the_highest_level_hits_stops_no_check():
+    # step 6 would search kernels of a 9-member base; steps 0-5 need at most 8
+    rules = _chain3()
+    idx = default_indexing(rules)
+    capped = Limits(atom_cap=256, kernel_cap=8)
+    assert verify(rules, idx, capped) == verify(rules, idx, Limits(atom_cap=256))
+    with pytest.raises(CapacityError) as err:
+        telescope_n(translate(rules, idx, capped), Canon("sum", "max", 6), (), capped)
+    assert (err.value.what, err.value.limit, err.value.actual) == ("kernel search base", 8, 9)
+    with pytest.raises(CapacityError) as err:
+        verify(rules, idx, Limits(atom_cap=256, kernel_cap=7))
+    assert (err.value.what, err.value.limit, err.value.actual) == ("kernel search base", 7, 8)
 
 
 def test_verify_without_structures_translates_nothing():
