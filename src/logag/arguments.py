@@ -145,10 +145,6 @@ def _argument_key(a: Argument):
     return (a.size(), render(a.root), a.rule_label or "", tuple(_argument_key(c) for c in a.children))
 
 
-def _fact_arguments(rules: RuleSet) -> set[Argument]:
-    return {Argument(r.conclusion) for r in rules.facts()}
-
-
 def _apply_rule(rule: Rule, by_root: dict[Term, list[Argument]]) -> Iterable[Argument]:
     pools = []
     for premise in rule.premises:
@@ -162,32 +158,24 @@ def _apply_rule(rule: Rule, by_root: dict[Term, list[Argument]]) -> Iterable[Arg
         yield Argument(rule.conclusion, tuple(combo), rule.label)
 
 
-def _saturate(rules: Iterable[Rule], known: set[Argument], limits: Limits) -> frozenset[Argument]:
-    """``known`` plus every argument the rules build from it, to a fixpoint."""
+def enumerate_arguments(rules: RuleSet, limits: Limits = DEFAULT_LIMITS) -> tuple[Argument, ...]:
+    """All arguments constructible from the rules, modulo structural identity, smallest first."""
+    non_facts = [r for r in rules.rules if r.kind != FACT]
+    known = {Argument(r.conclusion) for r in rules.facts()}
     rounds = 0
     while True:
         rounds += 1
         by_root: dict[Term, list[Argument]] = {}
         for a in known:
             by_root.setdefault(a.root, []).append(a)
-        fresh = set()
-        for rule in rules:
-            for candidate in _apply_rule(rule, by_root):
-                if candidate not in known:
-                    fresh.add(candidate)
+        fresh = {c for rule in non_facts for c in _apply_rule(rule, by_root) if c not in known}
         if not fresh:
-            return frozenset(known)
+            return tuple(sorted(known, key=_argument_key))
         if rounds > limits.depth_cap:
             raise CapacityError("argument tree depth", limits.depth_cap, rounds)
         if len(known) + len(fresh) > limits.subset_cap:
             raise CapacityError("argument count", limits.subset_cap, len(known) + len(fresh))
         known |= fresh
-
-
-def enumerate_arguments(rules: RuleSet, limits: Limits = DEFAULT_LIMITS) -> tuple[Argument, ...]:
-    """All arguments constructible from the rules, modulo structural identity, smallest first."""
-    non_facts = [r for r in rules.rules if r.kind != FACT]
-    return tuple(sorted(_saturate(non_facts, _fact_arguments(rules), limits), key=_argument_key))
 
 
 @dataclass(frozen=True)
@@ -208,19 +196,6 @@ def _roots_consistent(args: Iterable[Argument]) -> bool:
     return not any(negate_literal(w) in roots for w in roots)
 
 
-def _close_monotonically(rules: RuleSet, seed: set[Argument], limits: Limits) -> frozenset[Argument]:
-    """``seed`` closed under subtrees and monotonic rules.
-
-    A closure of enumerated arguments builds only enumerated arguments, in no
-    more rounds than enumeration took, so the caps it shares with
-    :func:`enumerate_arguments` do not fire here once enumeration passed.
-    """
-    closed = set(seed)
-    for a in list(closed):
-        closed |= a.subtrees()
-    return _saturate(rules.monotonic(), closed, limits)
-
-
 def enumerate_structures(
     rules: RuleSet,
     limits: Limits = DEFAULT_LIMITS,
@@ -231,21 +206,30 @@ def enumerate_structures(
     A structure is determined by which non-monotonically-rooted arguments it
     adopts: base facts are mandatory, monotonic closure is forced, and the
     consistency condition filters the rest. Subsets whose closure turns
-    inconsistent yield no structure. ``arguments`` are the rules' arguments
-    as :func:`enumerate_arguments` returns them, for a caller that already
-    holds them; they are enumerated here otherwise.
+    inconsistent yield no structure. The closure is taken inside the
+    enumerated arguments: the subtrees of the adopted ones and the base
+    facts, plus every monotonic-rule argument whose children are all in the
+    structure, so a caller-supplied ``arguments`` must be the full
+    enumeration, in :func:`enumerate_arguments`' order (smallest first, which
+    puts children before parents and makes one pass reach the fixpoint).
+    They are enumerated here otherwise.
     """
     all_args = enumerate_arguments(rules, limits) if arguments is None else arguments
-    nm_labels = {r.label for r in rules.nonmonotonic()}
-    nm_rooted = [a for a in all_args if a.rule_label in nm_labels]
+    kind = {r.label: r.kind for r in rules.rules}
+    nm_rooted = [a for a in all_args if kind.get(a.rule_label) == NONMONOTONIC]
+    mono_rooted = [a for a in all_args if kind.get(a.rule_label) == MONOTONIC]
+    facts = {a for a in all_args if a.rule_label is None}
     if 2 ** len(nm_rooted) > limits.subset_cap:
         raise CapacityError("structure seeds", limits.subset_cap, 2 ** len(nm_rooted))
     found: set[frozenset[Argument]] = set()
     for size in range(len(nm_rooted) + 1):
         for chosen in combinations(nm_rooted, size):
-            closed = _close_monotonically(rules, _fact_arguments(rules) | set(chosen), limits)
+            closed = facts.union(*(a.subtrees() for a in chosen))
+            for a in mono_rooted:
+                if closed.issuperset(a.children):
+                    closed.add(a)
             if _roots_consistent(closed):
-                found.add(closed)
+                found.add(frozenset(closed))
     structures = [ArgumentStructure(args) for args in found]
     structures.sort(key=lambda s: (len(s.arguments), tuple(map(_argument_key, s.sorted_arguments()))))
     return tuple(structures)
@@ -338,7 +322,7 @@ def parse_indexing(text: str, rules: RuleSet) -> Indexing:
         if not line:
             continue
         if not line.startswith("INDEX:"):
-            raise ParseError("expected 'INDEX:' line", lineno, 1)
+            raise ParseError("expected 'INDEX:' line", lineno, len(raw) - len(raw.lstrip()) + 1)
         labels = frozenset(part.strip() for part in line[len("INDEX:"):].split(",") if part.strip())
         table.append((labels, idx))
         idx += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Optional
 
 from .arguments import (
@@ -128,7 +128,7 @@ def _cmd_check(ns, out) -> int:
     if ns.format == "json":
         doc = {
             "theory": theory.name,
-            "canon": {"otimes": ns.otimes, "oplus": ns.oplus, "level": ns.level},
+            "canon": asdict(canon),
             "results": [{"query": render(q), "holds": ok} for q, ok in answers],
         }
         print(json.dumps(doc, indent=2), file=out)

@@ -38,7 +38,7 @@ filter per base (``RunContext.filter``), asked for once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, count, islice
 from typing import Iterable, Iterator, Optional
@@ -434,11 +434,7 @@ def trace_to_dict(trace: TelescopeTrace) -> dict:
     """JSON-ready document; term text is the term grammar, bit-exact."""
     return {
         "theory": trace.theory_name,
-        "canon": {
-            "otimes": trace.context.canon.otimes,
-            "oplus": trace.context.canon.oplus,
-            "level": trace.context.canon.level,
-        },
+        "canon": asdict(trace.context.canon),
         "levels": [
             {
                 "index": record.index,

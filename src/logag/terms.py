@@ -278,6 +278,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.bound: dict[str, Individual] = {}  # a forall instance's variables
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -406,7 +407,10 @@ class _Parser:
         return Atom(self.expect("ident").text, self.individual_args())
 
     def individual(self) -> Individual:
-        return Individual(self.expect("ident").text, self.individual_args())
+        """An individual; a zero-argument name a ``forall`` binds reads as its value."""
+        name = self.expect("ident").text
+        args = self.individual_args()
+        return Individual(name, args) if args else self.bound.get(name, Individual(name))
 
     def individual_args(self) -> tuple[Individual, ...]:
         """``"(" individual ("," individual)* ")"``, or none."""
@@ -458,34 +462,16 @@ def rule_statements(text: str) -> Iterator[tuple[str, Optional[str], tuple[Term,
 # Theory files
 
 
-def _substitute_ind(ind: Individual, env: dict[str, Individual]) -> Individual:
-    if not ind.args:
-        return env.get(ind.name, ind)
-    return Individual(ind.name, tuple(_substitute_ind(a, env) for a in ind.args))
-
-
-def _substitute(t: Term, env: dict[str, Individual]) -> Term:
-    if isinstance(t, Atom):
-        return Atom(t.predicate, tuple(_substitute_ind(a, env) for a in t.args))
-    if isinstance(t, Not):
-        return Not(_substitute(t.inner, env))
-    if isinstance(t, And):
-        return And(_substitute(t.left, env), _substitute(t.right, env))
-    if isinstance(t, Or):
-        return Or(_substitute(t.left, env), _substitute(t.right, env))
-    if isinstance(t, Grade):
-        return Grade(_substitute(t.inner, env), t.grade)
-    return t
-
-
 def parse_theory(text: str, name: str = "theory") -> Theory:
     """Parse a theory file into a ground, duplicate-free term set.
 
     Every ``forall`` statement is expanded over its declared domain: with k
     bound variables over a domain of size d it contributes d**k ground
-    instances. Grounding substitutes domain elements for every zero-argument
-    individual whose name matches a bound variable, including inside nested
-    individuals such as ``abnormal(penguin(x))``.
+    instances. Its body is parsed once per instance, with the instance's
+    domain elements read for every zero-argument individual whose name is a
+    bound variable, including inside nested individuals such as
+    ``abnormal(penguin(x))``; predicates keep their names. A parse error in
+    the body is raised on the first instance.
     """
     parser = _Parser(text)
     domains: dict[str, tuple[Individual, ...]] = {}
@@ -526,11 +512,12 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
             if dom_tok.text not in domains:
                 raise ParseError(f"undeclared domain {dom_tok.text!r}", dom_tok.line, dom_tok.column)
             parser.expect("punct", ":")
-            body = parser.term()
-            parser.expect("punct", ".")
+            body = parser.pos
             for combo in product(domains[dom_tok.text], repeat=len(variables)):
-                env = dict(zip(variables, combo))
-                terms[_substitute(body, env)] = None
+                parser.pos, parser.bound = body, dict(zip(variables, combo))
+                terms[parser.term()] = None
+                parser.expect("punct", ".")
+            parser.bound = {}
         else:
             t = parser.term()
             parser.expect("punct", ".")

@@ -156,9 +156,13 @@ def test_exactly_two_structures(penguin_rules):
 def test_structures_are_the_valid_argument_subsets(rng):
     # Brute force: every subset of the arguments that meets the four
     # defining conditions is a structure, and nothing else is.
+    # The seeded systems have at most two monotonic rules; the written one
+    # chains three (m0-m2), and m3's premise only d0's argument supplies.
+    written = parse_rules(
+        "f0: a.\nd0: a => b.\nd1: c => ~h.\nm0: a -> c.\nm1: c -> e.\nm2: e -> g.\nm3: b -> h.\n"
+    )
     checked = 0
-    for _ in range(100):
-        rules = random_rule_system(rng)
+    for rules in [written, *(random_rule_system(rng) for _ in range(100))]:
         args = enumerate_arguments(rules)
         if len(args) > 12:
             continue
@@ -246,6 +250,10 @@ def test_parse_indexing_override(penguin_rules):
     assert idx.index_of(frozenset({"r7"})) == 2
     with pytest.raises(EngineError):
         parse_indexing("INDEX: r7\n", penguin_rules)
+    for text, column in [("INDEX: r8\nfoo\n", 1), ("INDEX: r8\n  foo  # note\n", 3)]:
+        with pytest.raises(ParseError) as info:
+            parse_indexing(text, penguin_rules)
+        assert str(info.value) == f"expected 'INDEX:' line (line 2, column {column})"
 
 
 def expected_translation_terms():

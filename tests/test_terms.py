@@ -103,11 +103,14 @@ def test_theory_expand_forall():
         """
         domain b = {Tweety, Opus}.
         forall x in b: Bird(x) -> G(Flies(x), 5).
+        Bird(x).
         """
     )
+    # A statement after the forall is outside its scope: there x is a constant.
     expected = {
         parse_term("Bird(Tweety) -> G(Flies(Tweety), 5)"),
         parse_term("Bird(Opus) -> G(Flies(Opus), 5)"),
+        Atom("Bird", (Individual("x"),)),
     }
     assert th.terms == expected
 
@@ -135,6 +138,9 @@ def test_forall_grounds_nested_individuals_and_conjunctions():
         parse_term(f"Penguin({c}) & ~abnormal(penguin({c})) -> G(Flies({c}) & Near({c}, A), 2)")
         for c in ("Opus", "Tux")
     }
+    # Only individuals are bound: a predicate named like the variable keeps its name.
+    th = parse_theory("domain d = {a, b}.\nforall x in d: x(x).\n")
+    assert th.terms == {Atom("x", (Individual("a"),)), Atom("x", (Individual("b"),))}
 
 
 def test_theory_example_four_term_set():
@@ -185,6 +191,8 @@ def test_parse_error_carries_position():
         (parse_theory, "domain b = {x}.\n  domain b = {y}.", "duplicate domain 'b'", 2, 10),
         (parse_theory, "domain d = {a}.\nforall x, x in d: P(x).", "duplicate variable in forall", 2, 1),
         (parse_theory, "forall x in b: P(x).", "undeclared domain 'b'", 1, 13),
+        (parse_theory, "domain d = {a, b}.\nforall x in d: P(x) &.", "expected a term, found '.'", 2, 22),
+        (parse_theory, "domain d = {a, b}.\nforall x in d: P(x)\n", "expected '.', found 'end of input'", 3, 1),
         (parse_theory, "p & domain.", "reserved keyword 'domain' cannot start a term", 1, 5),
         (parse_term, "p q", "unexpected trailing input after term", 1, 3),
         (parse_theory, "p.\n2.", "expected '<' or '==' after grade", 2, 2),
@@ -199,6 +207,8 @@ def test_parse_error_carries_position():
         "duplicate-domain",
         "repeated-forall-variable",
         "undeclared-domain",
+        "forall-body",
+        "forall-missing-dot",
         "keyword-starts-term",
         "query-trailing-input",
         "grade-without-order",
