@@ -21,6 +21,7 @@ argument structure shows up as the consequence set of some level.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -314,19 +315,30 @@ def default_indexing(rules: RuleSet, limits: Limits = DEFAULT_LIMITS) -> Indexin
 
 
 def parse_indexing(text: str, rules: RuleSet) -> Indexing:
-    """Read an override file: one ``INDEX: label, label, ...`` line per subset."""
-    table = []
-    idx = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("INDEX:"):
-            raise ParseError("expected 'INDEX:' line", lineno, len(raw) - len(raw.lstrip()) + 1)
-        labels = frozenset(part.strip() for part in line[len("INDEX:"):].split(",") if part.strip())
-        table.append((labels, idx))
-        idx += 1
+    """Read an override file: one ``INDEX: label, label, ...`` line per subset.
+
+    Lines break at ``\\n`` only. A line that is not an ``INDEX:`` line, a label
+    that is no non-monotonic rule and a repeated subset raise at their place.
+    """
     nm_labels = frozenset(r.label for r in rules.nonmonotonic())
+    table = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        column = len(line) - len(line.lstrip()) + 1
+        if not line.strip():
+            continue
+        if not line.lstrip().startswith("INDEX:"):
+            raise ParseError("expected 'INDEX:' line", lineno, column)
+        labels = set()
+        start = column + len("INDEX:")  # the column the labels start from
+        for m in re.finditer(r"[^,\s][^,]*", line[start - 1:]):
+            label = m.group().rstrip()
+            if label not in nm_labels:
+                raise ParseError(f"{label!r} is not a non-monotonic rule", lineno, start + m.start())
+            labels.add(label)
+        if labels in (listed for listed, _ in table):
+            raise ParseError(f"indexed subset {sorted(labels)} is listed twice", lineno, column)
+        table.append((frozenset(labels), len(table) + 1))
     _check_indexing(table, nm_labels)
     return Indexing(tuple(table))
 

@@ -26,6 +26,8 @@ keeps one as its map, pushing each blocking clause as it is found. A
   searches, and pops back to the base's trail. The base stays loaded after
   the call, so a caller that asks about the same base goal by goal reuses
   it;
+- the loaded base's two models, true-first and false-first, which with the
+  memo settle what they can before any search (``Session._answer``);
 - a memo of every answer found, keyed ``(base, goal)``.
 
 A session answers one question, entailment. Consistency is the entailment
@@ -142,8 +144,9 @@ class _Solver:
         return True
 
     def search(self, queue: list[int], order) -> bool:
-        """Propagate ``queue``, then branch on ``order``'s variables, true first.
+        """Propagate ``queue``, then branch on ``order``'s literals, each true first.
 
+        ``order`` lists variables, or negated ones to try false first.
         Branches on the first unassigned variable of ``order``; a variable
         in no pushed clause is never branched on (backtracking over it
         would only repeat the search below it). Returns whether a model was
@@ -167,7 +170,7 @@ class _Solver:
             decisions.append((len(trail), i))
             if propagate([v]):
                 continue
-            while True:  # backtrack: undo the latest decision, then set its variable false
+            while True:  # backtrack: undo the latest decision, then set its literal false
                 if not decisions:
                     return False
                 mark, i = decisions.pop()
@@ -216,6 +219,7 @@ class Session:
         self._base_atoms: set[int] = set()
         self._base_false = False
         self._order: list[int] = []  # the base's variables still unassigned
+        self._models: Optional[list[set[int]]] = None  # the base's models, taken on first need
         self._trail_mark = self._pushed_mark = 0
 
     # -- the term table ----------------------------------------------------
@@ -308,6 +312,7 @@ class Session:
         self._order = sorted(v for v in variables if not (true[v] or true[-v]))
         self._trail_mark, self._pushed_mark = len(solver.trail), len(solver.pushed)
         self._base_atoms = atoms
+        self._models = None
         self._base = base
 
     def _ensure_loaded(self, base: frozenset[Term]) -> None:
@@ -337,6 +342,31 @@ class Session:
             solver.undo(self._trail_mark)
             solver.pop(self._pushed_mark)
 
+    def _answer(self, base: frozenset[Term], goal: Term, entry: _Compiled) -> bool:
+        """Whether the loaded base entails ``goal``, searched for only if unsettled.
+
+        A literal goal some model leaves false or open is not entailed, nor
+        ``~x`` if the base has a model and the memo holds ``x`` entailed; the
+        memo settles ``l | r`` by an entailed part, ``l & r`` by an unentailed one.
+        """
+        memo = self.memo
+        if isinstance(goal, Or) and (memo.get((base, goal.left)) or memo.get((base, goal.right))):
+            return True
+        if isinstance(goal, And) and False in (memo.get((base, goal.left)), memo.get((base, goal.right))):
+            return False
+        literal = not entry.defs and entry.lit is not False
+        if literal or isinstance(goal, Not) and memo.get((base, goal.inner)):
+            if self._models is None:  # once per load, true-first then false-first
+                solver, self._models = self._solver, []
+                for order in (self._order, [-v for v in self._order]):
+                    if solver.search([], order):
+                        self._models.append(set(solver.trail))
+                    solver.undo(self._trail_mark)
+                self._base_false = not self._models
+            if self._models and (not literal or any(entry.lit not in m for m in self._models)):
+                return False
+        return not self._consistent(None if entry.lit is False else entry)
+
     # -- the question ------------------------------------------------------
 
     def entails(self, base: frozenset[Term], goal: Term, limits: Limits) -> bool:
@@ -355,7 +385,7 @@ class Session:
             if self._base_false or entry.lit is True or goal in base:
                 result = True
             else:
-                result = not self._consistent(None if entry.lit is False else entry)
+                result = self._answer(base, goal, entry)
             self.memo[base, goal] = result
         return result
 

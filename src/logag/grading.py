@@ -283,9 +283,17 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
     every kernel containing them, re-derives support, and tests whether the
     new base generates the same filter as the old one. Nothing here depends
     on how many levels the run goes on to, so traces are prefix-consistent.
+    A step that releases nothing expands to the base's filter, consistent
+    as the base is: if its atoms fit ``atom_cap``, it asks about the base.
     """
     expansion = depth1_expansion(base, ctx)
-    kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
+    kernels = frozenset()
+    if (
+        len(expansion) > len(ctx.filter(base))
+        or len({a for t in expansion for a in ctx.session.compiled(t).atoms}) > ctx.limits.atom_cap
+        or not is_consistent(base, limits=ctx.limits, session=ctx.session)
+    ):
+        kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
     table = GradeTable(expansion, replace(ctx.canon, level=index + 1))
     survivors = frozenset(
         p for p in expansion if all(survives(p, x, table, ctx) for x in kernels if p in x.members)

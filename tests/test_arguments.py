@@ -250,7 +250,9 @@ def test_parse_indexing_override(penguin_rules):
     assert idx.index_of(frozenset({"r7"})) == 2
     with pytest.raises(EngineError):
         parse_indexing("INDEX: r7\n", penguin_rules)
-    for text, column in [("INDEX: r8\nfoo\n", 1), ("INDEX: r8\n  foo  # note\n", 3)]:
+    # Only \n breaks a line: the form feed, \x85 and \u2028 in the comment do not.
+    cases = [("INDEX: r8\nfoo\n", 1), ("INDEX: r8\n  foo  # note\n", 3), ("INDEX: r8 # \f\x85\u2028\nfoo\n", 1)]
+    for text, column in cases:
         with pytest.raises(ParseError) as info:
             parse_indexing(text, penguin_rules)
         assert str(info.value) == f"expected 'INDEX:' line (line 2, column {column})"

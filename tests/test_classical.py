@@ -297,6 +297,71 @@ def test_one_session_answers_like_the_oracles_across_bases_goals_and_kernel_sear
             assert_only_the_base_is_loaded(session)
 
 
+def test_a_negated_order_finds_the_first_model_false_first(rng):
+    # The session takes a base's second model this way: each variable of
+    # the order negated, so the search tries it false first.
+    for _ in range(400):
+        n, clauses = random_clauses(rng)
+        assignments = [{v for v, b in enumerate(bits, start=1) if b} for bits in product((False, True), repeat=n)]
+        first = next((a for a in assignments if satisfies(a, clauses)), None)
+        solver, queue = _Solver(n), []
+        if solver.push([list(c) for c in clauses], queue) and solver.search(queue, [-v for v in range(1, n + 1)]):
+            model = {v for v in range(1, n + 1) if solver.true[v]}  # unassigned reads false
+            assert satisfies(model, clauses)
+            assert model == first
+        else:
+            assert first is None
+
+
+def test_settled_answers_match_truth_tables_in_any_question_order(rng):
+    """Answers settled by the base's models or the memo agree with truth tables.
+
+    One session takes bases in turn, some revisited, some inconsistent
+    without a unit conflict; each batch asks compound goals with their parts
+    in random order, so parts are memoized before or after, and ends with
+    goals over atoms that no base mentions and that are compiled only after
+    the base's models were taken. The memo holds exactly the questions asked.
+    """
+    atoms = ["a", "b", "c"]
+    no_unit_conflict = terms("a | b", "a | ~b", "~a | b", "~a | ~b")
+    session = Session()
+    asked = {}
+    bases = [no_unit_conflict]
+    for i in range(150):
+        if i % 3 == 0:
+            bases.append(frozenset(term_with_constants(rng, atoms, 2) for _ in range(rng.randint(1, 4))))
+        base = rng.choice(bases)
+        goals = [term_with_constants(rng, atoms + ["d"], 3) for _ in range(6)]
+        goals += [part for g in goals if isinstance(g, (And, Or)) for part in (g.left, g.right)]
+        goals += [g.inner for g in goals if isinstance(g, Not)] + [Not(g) for g in goals[:3]]
+        rng.shuffle(goals)
+        fresh = Atom(f"e{i}")
+        goals += [fresh, Not(fresh), Grade(fresh, Fraction(1)), Or(Atom("a"), fresh), And(Atom("a"), fresh)]
+        for g in goals:
+            asked[base, g] = tt_entails(base, g)
+            assert entails(base, g, session=session) == asked[base, g], (sorted(map(render, base)), render(g))
+        assert session.memo == asked
+
+
+def test_a_literal_goal_a_base_model_leaves_false_or_open_is_not_searched(monkeypatch):
+    base = terms("a | b", "c")  # true-first model: a, b, c; false-first: ~a, b, c
+    session = Session()
+    queues = []
+    original = _Solver.search
+
+    def spy(self, queue, order):
+        queues.append(list(queue))
+        return original(self, queue, order)
+
+    monkeypatch.setattr(_Solver, "search", spy)
+    goals = [T("a"), T("~a"), T("~c"), T("d"), T("~d"), T("G(a, 1)")]
+    assert entails_each(base, goals, session=session) == [False] * len(goals)
+    assert queues == [[], []]  # the two models, taken once; no goal reaches a search
+    assert entails(base, T("c"), session=session)  # a member, then a disjunction with it as a part
+    assert entails(base, T("c | d"), session=session) and len(queues) == 2
+    assert entails(base, T("b"), session=session) is False and len(queues) == 3  # both models hold b
+
+
 def test_entails_matches_truth_table_on_random_bases(rng):
     atoms = ["a", "b", "c", "d", "e", "f"]
     for _ in range(120):

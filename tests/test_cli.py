@@ -93,6 +93,23 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, argv, text, 
     ]
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("INDEX: r8\nINDEX: r7 r8\n", "'r7 r8' is not a non-monotonic rule (line 2, column 8)"),
+        ("INDEX: r8\n INDEX: r7,r3\n", "'r3' is not a non-monotonic rule (line 2, column 12)"),
+        ("INDEX: r8\nINDEX: r7\n  INDEX: r8\n", "indexed subset ['r8'] is listed twice (line 3, column 3)"),
+        ("INDEX: r7\n", "indexing must cover every non-empty subset exactly once"),
+    ],
+    ids=["missing-comma", "monotonic-label", "repeated-subset", "missing-subsets"],
+)
+def test_an_indexing_label_error_is_a_usage_error_at_its_position(tmp_path, capsys, text, error):
+    idx = tmp_path / "bad.idx"
+    idx.write_text(text)
+    assert run("args", "verify", str(DATA / "penguin.rules"), "--indexing", str(idx)) == (2, "")
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+
 def test_a_doubly_negated_rule_literal_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.rules"
     bad.write_text("r1: a.\nr2: a -> ~~b.\n")

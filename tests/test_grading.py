@@ -29,7 +29,15 @@ from logag import (
     telescope_n,
     translate,
 )
-from logag.classical import Kernel, entails, entails_each, is_consistent, mutually_entailing, relevant_universe
+from logag.classical import (
+    Kernel,
+    Session,
+    entails,
+    entails_each,
+    is_consistent,
+    mutually_entailing,
+    relevant_universe,
+)
 from logag.errors import UngradedError
 from logag.grading import depth1_expansion, fused_grade, supported, survives, telescope_once, trace_to_dict
 from logag.terms import render
@@ -178,6 +186,35 @@ def test_expansion_without_gradings_adds_no_new_content():
     th = parse_theory("p.\np -> q.\n")
     q = depth1_expansion(th.terms, context(th))
     assert all(entails(th.terms, t) for t in q)
+
+
+def test_a_step_that_releases_nothing_asks_about_its_base_not_its_expansion(monkeypatch):
+    """Its expansion is the base's filter, consistent exactly when the base is.
+
+    Within ``atom_cap`` the step asks about the still-loaded base and loads
+    no expansion; past it, the kernel search runs as before, and a component
+    over the cap raises.
+    """
+    loaded = []
+    load = Session._load
+
+    def spy(self, base):
+        loaded.append(base)
+        return load(self, base)
+
+    monkeypatch.setattr(Session, "_load", spy)
+    # Step 0 releases p; step 1's base holds it, so G(p, 1) releases nothing.
+    trace = telescope_n(parse_theory("G(p, 1).\n~p | q.\n"), Canon("sum", "max", 1))
+    record = trace.levels[1]
+    assert record.expansion == trace.context.filter(record.base) > record.base
+    assert record.kernels == frozenset()
+    assert record.expansion not in loaded
+    # No grading term releases anything, but the entailed x0 | y and x1 | z
+    # take the expansion's one component to 4 atoms, past atom_cap 3.
+    th = parse_theory("x0.\n~x0 | x1.\n")
+    with pytest.raises(CapacityError) as err:
+        telescope_n(th, Canon("sum", "max", 1), [T("x0 | y"), T("x1 | z")], Limits(atom_cap=3))
+    assert (err.value.what, err.value.limit, err.value.actual) == ("atom count", 3, 4)
 
 
 # -- survival ----------------------------------------------------------------
