@@ -14,8 +14,8 @@ step, run per atom-connected component (a minimal inconsistent set can
 never straddle two components with disjoint atoms).
 
 One SAT core serves both: ``_Solver`` is DPLL with unit propagation over
-clauses pushed and popped in stack order. A component's kernel search
-keeps one as its map, pushing each blocking clause as it is found. A
+clauses pushed and popped in stack order. A kernel search keeps one for
+its checks and, per component, one as its map of blocking clauses. A
 ``Session`` keeps one solver for a whole run, and with it
 
 - a term table, which compiles each term once, in run-wide variable
@@ -32,11 +32,11 @@ keeps one as its map, pushing each blocking clause as it is found. A
 
 A session answers one question, entailment. Consistency is the entailment
 of ``FALSE`` (``~true``) read negated: ``satisfiable`` asks it, and
-``is_consistent`` is the same function under a second name. Every
-consistency check of a kernel search is a memoized question
-``(subset, ~true)`` to the session: first the whole queried set, when its
-distinct atoms fit ``atom_cap``, then each atom-connected component, then
-each seed and shrink step of the component's map.
+``is_consistent`` is the same function under a second name. A kernel
+search writes each check in the session's memo, ``(subset, ~true)`` or
+``(frozenset(), member)`` for a tautology, but answers it on its own
+solver, assuming the members' literals, and leaves the loaded base as it
+was; a set with no definitional clauses is settled by its literals alone.
 
 The universe holds one object per distinct term, each child the universe's
 own object too, so a run's sets, memo keys and filters find equal terms by
@@ -51,7 +51,7 @@ of limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, KeysView, Optional
+from typing import Callable, Iterable, KeysView, Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError
@@ -220,6 +220,7 @@ class Session:
         self._base_false = False
         self._order: list[int] = []  # the base's variables still unassigned
         self._models: Optional[list[set[int]]] = None  # the base's models, taken on first need
+        self._first: Optional[set[int]] = None  # the true-first model, if a consistency search found it
         self._trail_mark = self._pushed_mark = 0
 
     # -- the term table ----------------------------------------------------
@@ -312,7 +313,7 @@ class Session:
         self._order = sorted(v for v in variables if not (true[v] or true[-v]))
         self._trail_mark, self._pushed_mark = len(solver.trail), len(solver.pushed)
         self._base_atoms = atoms
-        self._models = None
+        self._models = self._first = None
         self._base = base
 
     def _ensure_loaded(self, base: frozenset[Term]) -> None:
@@ -337,7 +338,10 @@ class Session:
                 solver.push(negated.defs, queue)
                 queue.append(-negated.lit)
                 order = order + negated.vars
-            return solver.search(queue, order)
+            found = solver.search(queue, order)
+            if found and negated is None:
+                self._first = set(solver.trail)
+            return found
         finally:
             solver.undo(self._trail_mark)
             solver.pop(self._pushed_mark)
@@ -356,10 +360,12 @@ class Session:
             return False
         literal = not entry.defs and entry.lit is not False
         if literal or isinstance(goal, Not) and memo.get((base, goal.inner)):
-            if self._models is None:  # once per load, true-first then false-first
+            if self._models is None:  # once per load, true-first (unless kept) then false-first
                 solver, self._models = self._solver, []
                 for order in (self._order, [-v for v in self._order]):
-                    if solver.search([], order):
+                    if order is self._order and self._first is not None:
+                        self._models.append(self._first)
+                    elif solver.search([], order):
                         self._models.append(set(solver.trail))
                     solver.undo(self._trail_mark)
                 self._base_false = not self._models
@@ -532,7 +538,7 @@ def _components(entries: list[_Compiled]) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _all_minimal_inconsistent(items: list[Term], session: Session, limits: Limits) -> list[frozenset[Term]]:
+def _all_minimal_inconsistent(items: list[Term], entailed: Callable[..., bool]) -> list[frozenset[Term]]:
     """Every minimal inconsistent subset of ``items``, by MARCO's seed/shrink loop.
 
     The map is one solver, a variable per item, that keeps each blocking
@@ -540,7 +546,7 @@ def _all_minimal_inconsistent(items: list[Term], session: Session, limits: Limit
     """
 
     def consistent(picked: Iterable[int]) -> bool:
-        return not session.entails(frozenset(items[i] for i in picked), FALSE, limits)
+        return not entailed(frozenset(items[i] for i in picked), FALSE)
 
     n = len(items)
     solver = _Solver(n)
@@ -580,14 +586,14 @@ def bottom_kernels(
     ``q`` is expected to be already expanded — its members include whatever
     extracted propositions should be visible to conflict detection — so the
     minimality test is plain classical consistency of the subset itself.
-    Every consistency check is the session's memoized entailment
-    ``(subset, ~true)``. A ``q`` the memo holds as consistent, or whose
-    atoms fit ``atom_cap`` and that is consistent when checked whole, has no
-    kernels. Otherwise tautologies are pruned (they belong to no minimal
-    inconsistent set; the session answers the checks it has seen), as is
-    every atom-connected component that is consistent as a whole; a
-    component over ``atom_cap`` raises. The subsets a component's search
-    checks lie inside it, so their atoms fit the cap too.
+    Every check is a memoized question ``(subset, ~true)``, or
+    ``(frozenset(), member)`` for a tautology, answered on the search's own
+    solver. A ``q`` the memo holds as consistent, or whose atoms fit
+    ``atom_cap`` and that is consistent when checked whole, has no kernels.
+    Otherwise tautologies are pruned (they belong to no minimal inconsistent
+    set), as is every atom-connected component that is consistent as a
+    whole; a component over ``atom_cap`` raises. The subsets a component's
+    search checks lie inside it, so their atoms fit the cap too.
     """
     session = Session() if session is None else session
     q_fs = _frozen(q)
@@ -596,18 +602,40 @@ def bottom_kernels(
         raise EngineError(f"kernel query term outside universe: {render(missing)}")
     if session.memo.get((q_fs, FALSE)) is False:
         return frozenset()
-    q_atoms = {atom for t in q_fs for atom in session.compiled(t).atoms}
-    if len(q_atoms) <= limits.atom_cap and not session.entails(q_fs, FALSE, limits):
+    table = {t: session.compiled(t) for t in (*q_fs, FALSE)}
+    solver: Optional[_Solver] = None  # every member's clauses, pushed on the first search
+
+    def entailed(base: frozenset[Term], goal: Term) -> bool:
+        nonlocal solver
+        result = session.memo.get((base, goal))
+        if result is None:
+            entries = [table[t] for t in (*base, goal)]
+            atoms = {a for entry in entries for a in entry.atoms}
+            if len(atoms) > limits.atom_cap:
+                raise CapacityError("atom count", limits.atom_cap, len(atoms))
+            lits = [entry.lit for entry in entries[:-1]] + [_neg(entries[-1].lit)]  # the assumptions
+            lits = [lit for lit in lits if lit is not True]
+            if False in lits or not any(entry.defs for entry in entries):  # settled by the literals
+                result = False in lits or not {-lit for lit in lits}.isdisjoint(lits)
+            else:
+                if solver is None:
+                    solver = _Solver(session._n)
+                    solver.push([clause for entry in table.values() for clause in entry.defs], [])
+                result = not solver.search(lits, sorted(atoms))
+                solver.undo(0)
+            session.memo[base, goal] = result
+        return result
+
+    if len({atom for t in q_fs for atom in table[t].atoms}) <= limits.atom_cap and not entailed(q_fs, FALSE):
         return frozenset()
-    q_list = sorted(q_fs, key=render)
-    candidates = [t for t in q_list if not entails(frozenset(), t, limits=limits, session=session)]
-    entries = [session.compiled(t) for t in candidates]
+    candidates = [t for t in sorted(q_fs, key=render) if not entailed(frozenset(), t)]
+    entries = [table[t] for t in candidates]
     kernels: list[frozenset[Term]] = []
     for group in _components(entries):
         members = [candidates[i] for i in group]
-        if not session.entails(frozenset(members), FALSE, limits):
+        if not entailed(frozenset(members), FALSE):
             continue
         if len(group) > limits.kernel_cap:
             raise CapacityError("kernel search base", limits.kernel_cap, len(group))
-        kernels.extend(_all_minimal_inconsistent(members, session, limits))
+        kernels.extend(_all_minimal_inconsistent(members, entailed))
     return frozenset(Kernel(k) for k in kernels)

@@ -283,15 +283,17 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
     every kernel containing them, re-derives support, and tests whether the
     new base generates the same filter as the old one. Nothing here depends
     on how many levels the run goes on to, so traces are prefix-consistent.
-    A step that releases nothing expands to the base's filter, consistent
-    as the base is: if its atoms fit ``atom_cap``, it asks about the base.
+    A step that releases nothing asks about its base, whose filter is its
+    expansion; any other asks about its expansion, loaded then for the next
+    step, unless a member and its negation show it inconsistent.
     """
     expansion = depth1_expansion(base, ctx)
+    released = len(expansion) > len(ctx.filter(base))
     kernels = frozenset()
     if (
-        len(expansion) > len(ctx.filter(base))
+        released and any(isinstance(t, Not) and t.inner in expansion for t in expansion)
         or len({a for t in expansion for a in ctx.session.compiled(t).atoms}) > ctx.limits.atom_cap
-        or not is_consistent(base, limits=ctx.limits, session=ctx.session)
+        or not is_consistent(expansion if released else base, limits=ctx.limits, session=ctx.session)
     ):
         kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
     table = GradeTable(expansion, replace(ctx.canon, level=index + 1))

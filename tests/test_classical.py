@@ -362,6 +362,25 @@ def test_a_literal_goal_a_base_model_leaves_false_or_open_is_not_searched(monkey
     assert entails(base, T("b"), session=session) is False and len(queues) == 3  # both models hold b
 
 
+def test_a_consistency_search_keeps_its_model_as_the_base_true_first_model(monkeypatch):
+    base = terms("a | b", "c")
+    session, fresh = Session(), Session()
+    queues = []
+    original = _Solver.search
+
+    def spy(self, queue, order):
+        queues.append(list(queue))
+        return original(self, queue, order)
+
+    monkeypatch.setattr(_Solver, "search", spy)
+    assert is_consistent(base, session=session) and queues == [[]]
+    goals = [T("a"), T("~a"), T("d")]
+    assert entails_each(base, goals, session=session) == [False] * len(goals)
+    assert len(queues) == 2  # only the false-first model is searched for
+    assert entails_each(base, goals, session=fresh) == [False] * len(goals)
+    assert session._models == fresh._models and len(fresh._models) == 2
+
+
 def test_entails_matches_truth_table_on_random_bases(rng):
     atoms = ["a", "b", "c", "d", "e", "f"]
     for _ in range(120):
@@ -526,14 +545,18 @@ def test_kernel_query_outside_the_universe_names_the_first_missing_term():
 def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsistent_sets(rng):
     """One session answers whole-set checks and per-component searches alike.
 
-    Sets drawing on one to three two-atom groups are drawn, some of them
-    again, under atom_cap 4: a set whose atoms go past it takes the
-    per-component path, the others are checked whole first. Every
-    consistency check is a memoized question ``(subset, ~true)``, so each
-    kernel found is in the memo as inconsistent, and every such entry
-    agrees with the truth tables.
+    Sets drawing on one to three two-atom groups, plus a few literals (some
+    of them one-member components, some grading atoms) and tautologies, are
+    drawn, some of them again, under atom_cap 4: a set whose atoms go past
+    it takes the per-component path, the others are checked whole first.
+    Every consistency check is a memoized question ``(subset, ~true)`` and
+    every tautology test one ``(frozenset(), member)``, so each kernel found
+    is in the memo as inconsistent, and every such entry agrees with the
+    truth tables, whether it was searched or settled by its literals.
     """
     groups = (["a", "b"], ["c", "d"], ["e", "f"])
+    extras = [T(s) for s in ("g", "~g", "G(a, 2)", "~G(a, 2)", "~G(G(c, 1), 2)", "a | ~a", "G(b, 1) | ~G(b, 1)")]
+    extras += CONSTANTS
     limits = Limits(atom_cap=4)
     session = Session()
     seen: list[frozenset] = []
@@ -544,6 +567,7 @@ def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsis
         else:
             chosen = rng.sample(groups, rng.randint(1, 3))
             q = frozenset(term_with_constants(rng, g, 2) for g in chosen for _ in range(rng.randint(1, 3)))
+            q |= frozenset(rng.sample(extras, rng.randint(0, 3)))
             seen.append(q)
         got = {k.members for k in bottom_kernels(q, relevant_universe(q), limits=limits, session=session)}
         assert got == brute_kernels(q)
@@ -554,3 +578,31 @@ def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsis
     assert {(False, False), (True, True), (None, False), (None, True)} <= outcomes
     checks = [(base, answer) for (base, goal), answer in session.memo.items() if goal == FALSE]
     assert all(answer == (not tt_satisfiable(base)) for base, answer in checks)
+    tautologies = [(goal, answer) for (base, goal), answer in session.memo.items() if not base and goal != FALSE]
+    assert all(answer == tt_entails(frozenset(), goal) for goal, answer in tautologies)
+    assert {True, False} <= {answer for _, answer in tautologies}
+
+
+def test_a_kernel_search_loads_nothing_and_leaves_the_loaded_base_as_it_was(monkeypatch, rng):
+    """The search answers its checks on its own solver, never the session's base."""
+    session = Session()
+    base = terms("a | b", "~c")
+    assert entails_each(base, [T("a"), T("c"), T("a | c")], session=session) == [False, False, False]
+    solver = session._solver
+
+    def state():
+        return (session._base, list(solver.trail), list(solver.pushed), session._models, session._order)
+
+    before = state()
+    loads = []
+    monkeypatch.setattr(Session, "_load", lambda self, b: loads.append(b))
+    kernels_found = 0
+    for _ in range(30):
+        q = frozenset(term_with_constants(rng, ["a", "b", "c", "d"], 2) for _ in range(rng.randint(1, 6)))
+        q |= frozenset(rng.sample([T("a"), T("~a"), T("a | ~a"), T("~a | b"), T("G(a, 1)")], 2))
+        got = {k.members for k in bottom_kernels(q, relevant_universe(q), session=session)}
+        assert got == brute_kernels(q)
+        kernels_found += bool(got)
+        assert loads == [] and session._solver is solver and state() == before
+        assert_only_the_base_is_loaded(session)
+    assert kernels_found >= 10

@@ -30,6 +30,7 @@ from logag import (
     translate,
 )
 from logag.classical import (
+    FALSE,
     Kernel,
     Session,
     entails,
@@ -215,6 +216,33 @@ def test_a_step_that_releases_nothing_asks_about_its_base_not_its_expansion(monk
     with pytest.raises(CapacityError) as err:
         telescope_n(th, Canon("sum", "max", 1), [T("x0 | y"), T("x1 | z")], Limits(atom_cap=3))
     assert (err.value.what, err.value.limit, err.value.actual) == ("atom count", 3, 4)
+
+
+@pytest.mark.parametrize(
+    "text, pair, kernels",
+    [("G(p, 1).\nq.\n", False, 0), ("G(p & q, 1).\n~p | ~q.\n", False, 1), ("G(p, 1).\n~p.\n", True, 1)],
+)
+def test_a_releasing_step_asks_about_its_expansion_unless_a_pair_shows_it_inconsistent(monkeypatch, text, pair, kernels):
+    """The session loads the expansion, which the next step's filter reuses.
+
+    An expansion holding a member and its negation is inconsistent, so the
+    step goes to the kernel search, which loads nothing.
+    """
+    loaded = []
+    load = Session._load
+
+    def spy(self, base):
+        loaded.append(base)
+        return load(self, base)
+
+    monkeypatch.setattr(Session, "_load", spy)
+    trace = telescope_n(parse_theory(text), Canon("sum", "max", 1))
+    record = trace.levels[0]
+    assert record.expansion > trace.context.filter(record.base)
+    assert any(isinstance(t, Not) and t.inner in record.expansion for t in record.expansion) == pair
+    assert (record.expansion in loaded) != pair
+    assert len(record.kernels) == kernels
+    assert trace.context.session.memo[record.expansion, FALSE] == bool(kernels)
 
 
 # -- survival ----------------------------------------------------------------
