@@ -14,18 +14,19 @@ step, run per atom-connected component (a minimal inconsistent set can
 never straddle two components with disjoint atoms).
 
 One SAT core serves both: ``_Solver`` is DPLL with unit propagation over
-clauses pushed and popped in stack order. A kernel search keeps one for
-its checks and, per component, one as its map of blocking clauses. A
-``Session`` keeps one solver for a whole run, and with it
+clauses that, once pushed, stay. Each kernel search keeps one per
+component as its map of blocking clauses. A ``Session`` keeps one for a
+whole run, and with it
 
-- a term table, which compiles each term once, in run-wide variable
-  numbers, to its literal (or the constant it folds to), its definitional
-  Tseitin clauses and its atoms;
-- a loaded base: its clauses are pushed and its units propagated once;
-  each goal then pushes its own definitional clauses, assumes its negation,
-  searches, and pops back to the base's trail. The base stays loaded after
-  the call, so a caller that asks about the same base goal by goal reuses
-  it;
+- a term table, which compiles each distinct term once, from its
+  children's entries, in run-wide variable numbers: to its literal (or the
+  constant it folds to) and its atoms. Each distinct ``&`` / ``|`` gets one
+  variable and three definitional Tseitin clauses, pushed once;
+- a loaded base: its members' literals, propagated at the bottom of the
+  trail. Each goal then assumes its negation, searches, and cuts the trail
+  back to the base's (solving under assumptions, Eén & Sörensson, SAT
+  2003). The base stays loaded after the call, so a caller that asks about
+  the same base goal by goal reuses it;
 - the loaded base's two models, true-first and false-first, which with the
   memo settle what they can before any search (``Session._answer``);
 - a memo of every answer found, keyed ``(base, goal)``.
@@ -33,10 +34,9 @@ its checks and, per component, one as its map of blocking clauses. A
 A session answers one question, entailment. Consistency is the entailment
 of ``FALSE`` (``~true``) read negated: ``satisfiable`` asks it, and
 ``is_consistent`` is the same function under a second name. A kernel
-search writes each check in the session's memo, ``(subset, ~true)`` or
-``(frozenset(), member)`` for a tautology, but answers it on its own
-solver, assuming the members' literals, and leaves the loaded base as it
-was; a set with no definitional clauses is settled by its literals alone.
+search asks the session each check, ``(subset, ~true)`` or
+``(frozenset(), member)`` for a tautology, so each subset it checks is
+loaded in turn.
 
 The universe holds one object per distinct term, each child the universe's
 own object too, so a run's sets, memo keys and filters find equal terms by
@@ -51,7 +51,7 @@ of limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, KeysView, Optional
+from typing import Iterable, KeysView, Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError
@@ -68,30 +68,30 @@ class _Solver:
 
     ``true[lit]`` is the assignment (negative literals index from the end)
     and ``trail`` the literals set true, in order, so cutting the trail back
-    to a mark undoes what was set after it. ``occurs[lit]`` lists the pushed
-    clauses holding ``lit``; ``pushed`` lists them in push order, so popping
-    back to a mark removes each from the end of its lists.
+    to a mark undoes what was set after it. ``occurs[lit]`` lists the
+    clauses holding ``lit``; a clause, once pushed, stays.
     """
 
-    __slots__ = ("n", "true", "occurs", "trail", "pushed")
+    __slots__ = ("n", "true", "occurs", "trail")
 
     def __init__(self, n: int = 0):
         self.n = n
         self.true = bytearray(2 * n + 1)
         self.occurs: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.trail: list[int] = []
-        self.pushed: list[list[int]] = []
 
     def push(self, clauses: list[list[int]], queue: list[int]) -> bool:
         """Add clauses, queueing the literal of each unit clause.
 
         Returns False when one of them is empty. Only the length of a clause
-        is read here: one that arrives unit or false under the current
-        assignment is the caller's to avoid, since propagation visits a
-        clause only when one of its literals turns false.
+        is read here, and propagation visits a clause only when one of its
+        literals turns false, so a clause pushed over a non-empty trail may
+        arrive unit or false unnoticed. A session pushes its connectives'
+        clauses over a loaded base's trail only when they were compiled
+        while it was loaded: each holds its own connective's variable, which
+        nothing has assigned yet, so it may arrive unit but never false.
         """
         occurs = self.occurs
-        self.pushed += clauses
         ok = True
         for clause in clauses:
             for lit in clause:
@@ -102,14 +102,6 @@ class _Solver:
                 else:
                     ok = False
         return ok
-
-    def pop(self, mark: int) -> None:
-        """Remove the clauses pushed after the first ``mark``."""
-        occurs, pushed = self.occurs, self.pushed
-        for clause in reversed(pushed[mark:]):
-            for lit in clause:
-                occurs[lit].pop()
-        del pushed[mark:]
 
     def undo(self, mark: int) -> None:
         """Unassign the literals set after the first ``mark`` of the trail."""
@@ -180,21 +172,21 @@ class _Solver:
 
 
 class _Compiled:
-    """One term in a session's numbering.
+    """One term in a session's numbering, built from its children's entries.
 
     ``lit`` is the literal standing for the term, or the constant it folds
-    to; ``defs`` are the Tseitin clauses defining its connectives; ``vars``
-    every variable its walk numbers, in walk order (an atom where first met,
-    a connective after its operands); ``atoms`` its distinct atoms, in the
-    same order.
+    to; ``defs`` the three clauses defining the term's own connective's
+    variable, if it has one (an atom, a negation or a folded term has
+    none); ``vars`` every variable in the term, in numbering order (an atom
+    where first met, a connective after its operands); ``atoms`` its
+    distinct atoms, in the same order, folded parts included.
     """
 
     __slots__ = ("lit", "defs", "vars", "atoms")
 
-    def __init__(self):
+    def __init__(self, lit, vars: list[int], atoms: list[int]):
+        self.lit, self.vars, self.atoms = lit, vars, atoms
         self.defs: list[list[int]] = []
-        self.vars: list[int] = []
-        self.atoms: list[int] = []
 
 
 def _neg(s):
@@ -205,23 +197,24 @@ class Session:
     """One run's SAT state: its answers, its compiled terms and one solver.
 
     ``memo`` maps ``(base, goal)`` to every entailment answer found. The
-    solver holds the last loaded base, its units propagated, until another
-    base is asked about.
+    solver holds every compiled connective's clauses, each pushed once and
+    never popped (those compiled past its room wait for the rebuild the
+    next question makes), and the last loaded base's literals, propagated,
+    until another base is asked about.
     """
 
     def __init__(self):
         self.memo: dict[tuple[frozenset[Term], Term], bool] = {}
         self._table: dict[Term, _Compiled] = {}
-        self._atoms: dict[Term, int] = {}
         self._n = 0
         self._solver = _Solver()
         self._base: Optional[frozenset[Term]] = None
         self._base_atoms: set[int] = set()
         self._base_false = False
-        self._order: list[int] = []  # the base's variables still unassigned
+        self._order: list[int] = []  # the base's atoms still unassigned
         self._models: Optional[list[set[int]]] = None  # the base's models, taken on first need
         self._first: Optional[set[int]] = None  # the true-first model, if a consistency search found it
-        self._trail_mark = self._pushed_mark = 0
+        self._trail_mark = 0
 
     # -- the term table ----------------------------------------------------
 
@@ -229,89 +222,75 @@ class Session:
         """``t`` compiled once per session.
 
         ``true`` and grade-order atoms fold to constants; predicate atoms and
-        whole grading terms are atoms, numbered by the term itself; each
-        non-constant ``&`` / ``|`` gets a fresh variable defined equivalent
-        to it, so no two terms share a connective's variable.
+        whole grading terms are atoms, numbered by the term itself; ``~t``
+        negates ``t``'s literal; each distinct non-constant ``&`` / ``|``
+        gets one variable, defined equivalent to it by three clauses, which
+        every term holding it shares.
         """
         entry = self._table.get(t)
         if entry is None:
-            entry = _Compiled()
-            entry.lit = self._walk(t, entry)
-            self._table[t] = entry
+            entry = self._table[t] = self._compile(t)
         return entry
 
-    def _walk(self, t: Term, entry: _Compiled):
+    def _compile(self, t: Term) -> _Compiled:
         if isinstance(t, TrueTerm):
-            return True
-        if isinstance(t, Less):
-            return bool(t.a < t.b)
-        if isinstance(t, GradeEq):
-            return bool(t.a == t.b)
+            return _Compiled(True, [], [])
+        if isinstance(t, (Less, GradeEq)):
+            return _Compiled(bool(t.a < t.b if isinstance(t, Less) else t.a == t.b), [], [])
         if isinstance(t, (Atom, Grade)):
-            v = self._atoms.get(t)
-            if v is None:
-                self._n += 1
-                v = self._atoms[t] = self._n
-            if v not in entry.atoms:
-                entry.atoms.append(v)
-                entry.vars.append(v)
-            return v
+            self._n += 1
+            return _Compiled(self._n, [self._n], [self._n])
         if isinstance(t, Not):
-            return _neg(self._walk(t.inner, entry))
-        if isinstance(t, And):
-            return self._conj(self._walk(t.left, entry), self._walk(t.right, entry), entry)
-        if isinstance(t, Or):
-            left, right = _neg(self._walk(t.left, entry)), _neg(self._walk(t.right, entry))
-            return _neg(self._conj(left, right, entry))
-        raise EngineError(f"cannot interpret {t!r} as a proposition")
-
-    def _conj(self, a, b, entry: _Compiled):
+            inner = self.compiled(t.inner)
+            return _Compiled(_neg(inner.lit), inner.vars, inner.atoms)
+        if not isinstance(t, (And, Or)):
+            raise EngineError(f"cannot interpret {t!r} as a proposition")
+        left, right = self.compiled(t.left), self.compiled(t.right)
+        entry = _Compiled(None, list(dict.fromkeys(left.vars + right.vars)), list(dict.fromkeys(left.atoms + right.atoms)))
+        a, b = (left.lit, right.lit) if isinstance(t, And) else (_neg(left.lit), _neg(right.lit))
         if a is False or b is False:
-            return False
-        if a is True or b is True:
-            return b if a is True else a
-        self._n += 1
-        v = self._n
-        entry.vars.append(v)
-        entry.defs += [[-v, a], [-v, b], [v, -a, -b]]
-        return v
+            lit = False
+        elif a is True or b is True:
+            lit = b if a is True else a
+        else:  # a & b; a | b is ~(~a & ~b)
+            self._n += 1
+            lit = self._n
+            entry.vars.append(lit)
+            entry.defs = [[-lit, a], [-lit, b], [lit, -a, -b]]
+            if lit <= self._solver.n:  # else the rebuild that growth makes pushes them
+                self._solver.push(entry.defs, [])
+        entry.lit = lit if isinstance(t, And) else _neg(lit)
+        return entry
 
     # -- the loaded base ---------------------------------------------------
 
     def _load(self, base: frozenset[Term]) -> None:
-        """Push the base's clauses and propagate its units, once per base.
+        """Propagate the base's literals from an empty trail, once per base.
 
-        Each member's definitional clauses are pushed and its literal is
-        queued as a unit. Every definitional clause holds the variable of
-        its own connective, which nothing has assigned when it is pushed,
-        so none arrives false.
+        Every clause is pushed before the propagation, as the members are
+        compiled or, when the numbering has outgrown the solver, into a new
+        one with room for twice the variables numbered so far. So
+        propagation visits every clause: once a search has assigned the
+        base's atoms, each connective's variable follows from its
+        operands', and a base search need branch on its unassigned atoms
+        only.
         """
         self._base = None
         entries = [self.compiled(t) for t in base]
         solver = self._solver
-        if self._n > solver.n:  # room for twice the variables numbered so far
+        if self._n > solver.n:
             solver = self._solver = _Solver(2 * self._n)
+            solver.push([clause for entry in self._table.values() for clause in entry.defs], [])
         else:
             solver.undo(0)
-            solver.pop(0)
         atoms: set[int] = set()
-        variables: set[int] = set()
         for entry in entries:
             atoms.update(entry.atoms)
-            variables.update(entry.vars)
-        queue: list[int] = []
-        false = False
-        for entry in entries:
-            if entry.lit is False:
-                false = True
-                break
-            if entry.lit is not True:
-                solver.push(entry.defs, queue)
-                queue.append(entry.lit)
-        self._base_false = false or not solver.propagate(queue)
+        lits = [entry.lit for entry in entries if entry.lit is not True]
+        self._base_false = False in lits or not solver.propagate(lits)
         true = solver.true
-        self._order = sorted(v for v in variables if not (true[v] or true[-v]))
-        self._trail_mark, self._pushed_mark = len(solver.trail), len(solver.pushed)
+        self._order = sorted(a for a in atoms if not (true[a] or true[-a]))
+        self._trail_mark = len(solver.trail)
         self._base_atoms = atoms
         self._models = self._first = None
         self._base = base
@@ -323,42 +302,42 @@ class Session:
     def _consistent(self, negated: Optional[_Compiled]) -> bool:
         """Whether the loaded base is consistent, with ``Not(negated)`` when given.
 
-        ``negated``'s clauses are pushed above the base and its negated
-        literal is queued as a unit; they are popped, and the trail cut back
-        to the base's, before this returns. ``negated`` is no base member,
-        so its connectives' variables are unassigned when pushed.
+        ``negated``'s negated literal is queued, and the search branches on
+        every variable of ``negated`` after the base's atoms: a clause
+        compiled while the base is loaded is pushed over its trail, where it
+        may arrive unit, and is visited once its connective's variable is
+        assigned. Growth reloads the base. The trail is cut back to the
+        base's before this returns.
         """
         if self._n > self._solver.n:
             self._load(self._base)
         solver = self._solver
-        queue: list[int] = []
-        order = self._order
+        queue, order = [], self._order
+        if negated is not None:
+            queue.append(-negated.lit)
+            order = order + negated.vars
         try:
-            if negated is not None:
-                solver.push(negated.defs, queue)
-                queue.append(-negated.lit)
-                order = order + negated.vars
             found = solver.search(queue, order)
             if found and negated is None:
                 self._first = set(solver.trail)
             return found
         finally:
             solver.undo(self._trail_mark)
-            solver.pop(self._pushed_mark)
 
     def _answer(self, base: frozenset[Term], goal: Term, entry: _Compiled) -> bool:
         """Whether the loaded base entails ``goal``, searched for only if unsettled.
 
-        A literal goal some model leaves false or open is not entailed, nor
-        ``~x`` if the base has a model and the memo holds ``x`` entailed; the
-        memo settles ``l | r`` by an entailed part, ``l & r`` by an unentailed one.
+        A literal goal (one variable) some model leaves false or open is not
+        entailed, nor ``~x`` if the base has a model and the memo holds ``x``
+        entailed; the memo settles ``l | r`` by an entailed part, ``l & r``
+        by an unentailed one.
         """
         memo = self.memo
         if isinstance(goal, Or) and (memo.get((base, goal.left)) or memo.get((base, goal.right))):
             return True
         if isinstance(goal, And) and False in (memo.get((base, goal.left)), memo.get((base, goal.right))):
             return False
-        literal = not entry.defs and entry.lit is not False
+        literal = len(entry.vars) == 1 and entry.lit is not False
         if literal or isinstance(goal, Not) and memo.get((base, goal.inner)):
             if self._models is None:  # once per load, true-first (unless kept) then false-first
                 solver, self._models = self._solver, []
@@ -538,15 +517,16 @@ def _components(entries: list[_Compiled]) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _all_minimal_inconsistent(items: list[Term], entailed: Callable[..., bool]) -> list[frozenset[Term]]:
+def _all_minimal_inconsistent(items: list[Term], session: Session, limits: Limits) -> list[frozenset[Term]]:
     """Every minimal inconsistent subset of ``items``, by MARCO's seed/shrink loop.
 
     The map is one solver, a variable per item, that keeps each blocking
-    clause as it is found.
+    clause as it is found; each check is the session's question
+    ``(subset, ~true)``.
     """
 
     def consistent(picked: Iterable[int]) -> bool:
-        return not entailed(frozenset(items[i] for i in picked), FALSE)
+        return not session.entails(frozenset(items[i] for i in picked), FALSE, limits)
 
     n = len(items)
     solver = _Solver(n)
@@ -586,14 +566,14 @@ def bottom_kernels(
     ``q`` is expected to be already expanded — its members include whatever
     extracted propositions should be visible to conflict detection — so the
     minimality test is plain classical consistency of the subset itself.
-    Every check is a memoized question ``(subset, ~true)``, or
-    ``(frozenset(), member)`` for a tautology, answered on the search's own
-    solver. A ``q`` the memo holds as consistent, or whose atoms fit
-    ``atom_cap`` and that is consistent when checked whole, has no kernels.
-    Otherwise tautologies are pruned (they belong to no minimal inconsistent
-    set), as is every atom-connected component that is consistent as a
-    whole; a component over ``atom_cap`` raises. The subsets a component's
-    search checks lie inside it, so their atoms fit the cap too.
+    Every check is the session's question ``(subset, ~true)``, or
+    ``(frozenset(), member)`` for a tautology. A ``q`` the memo holds as
+    consistent, or whose atoms fit ``atom_cap`` and that is consistent when
+    checked whole, has no kernels. Otherwise tautologies are pruned (they
+    belong to no minimal inconsistent set), as is every atom-connected
+    component that is consistent as a whole; a component over ``atom_cap``
+    raises. The subsets a component's search checks lie inside it, so their
+    atoms fit the cap too.
     """
     session = Session() if session is None else session
     q_fs = _frozen(q)
@@ -602,40 +582,16 @@ def bottom_kernels(
         raise EngineError(f"kernel query term outside universe: {render(missing)}")
     if session.memo.get((q_fs, FALSE)) is False:
         return frozenset()
-    table = {t: session.compiled(t) for t in (*q_fs, FALSE)}
-    solver: Optional[_Solver] = None  # every member's clauses, pushed on the first search
-
-    def entailed(base: frozenset[Term], goal: Term) -> bool:
-        nonlocal solver
-        result = session.memo.get((base, goal))
-        if result is None:
-            entries = [table[t] for t in (*base, goal)]
-            atoms = {a for entry in entries for a in entry.atoms}
-            if len(atoms) > limits.atom_cap:
-                raise CapacityError("atom count", limits.atom_cap, len(atoms))
-            lits = [entry.lit for entry in entries[:-1]] + [_neg(entries[-1].lit)]  # the assumptions
-            lits = [lit for lit in lits if lit is not True]
-            if False in lits or not any(entry.defs for entry in entries):  # settled by the literals
-                result = False in lits or not {-lit for lit in lits}.isdisjoint(lits)
-            else:
-                if solver is None:
-                    solver = _Solver(session._n)
-                    solver.push([clause for entry in table.values() for clause in entry.defs], [])
-                result = not solver.search(lits, sorted(atoms))
-                solver.undo(0)
-            session.memo[base, goal] = result
-        return result
-
-    if len({atom for t in q_fs for atom in table[t].atoms}) <= limits.atom_cap and not entailed(q_fs, FALSE):
+    atoms = {atom for t in q_fs for atom in session.compiled(t).atoms}
+    if len(atoms) <= limits.atom_cap and not session.entails(q_fs, FALSE, limits):
         return frozenset()
-    candidates = [t for t in sorted(q_fs, key=render) if not entailed(frozenset(), t)]
-    entries = [table[t] for t in candidates]
+    candidates = [t for t in sorted(q_fs, key=render) if not session.entails(frozenset(), t, limits)]
     kernels: list[frozenset[Term]] = []
-    for group in _components(entries):
+    for group in _components([session.compiled(t) for t in candidates]):
         members = [candidates[i] for i in group]
-        if not entailed(frozenset(members), FALSE):
+        if not session.entails(frozenset(members), FALSE, limits):
             continue
         if len(group) > limits.kernel_cap:
             raise CapacityError("kernel search base", limits.kernel_cap, len(group))
-        kernels.extend(_all_minimal_inconsistent(members, entailed))
+        kernels.extend(_all_minimal_inconsistent(members, session, limits))
     return frozenset(Kernel(k) for k in kernels)

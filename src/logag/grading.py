@@ -92,10 +92,12 @@ class RunContext:
     order is the numeric order on exact rationals, the single total order
     the grade sort carries here. Each step fuses with ``canon``'s operators
     at its own level. ``session`` is the run's SAT session: its term table,
-    its loaded base and its memo of every entailment answer the run has
-    found. ``filters`` maps each base the run asks ``filter`` about
-    to its filter, the universe terms it entails, and ``refutations`` each
-    term ``refuted`` is asked about to its answer; all live with the context.
+    its one solver, which holds every compiled clause and the base asked
+    about last, kernel-search checks included, and its memo of every
+    entailment answer the run has found. ``filters`` maps each base the run
+    asks ``filter`` about to its filter, the universe terms it entails, and
+    ``refutations`` each term ``refuted`` is asked about to its answer; all
+    live with the context.
     """
 
     top: frozenset[Term]
@@ -284,16 +286,16 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
     new base generates the same filter as the old one. Nothing here depends
     on how many levels the run goes on to, so traces are prefix-consistent.
     A step that releases nothing asks about its base, whose filter is its
-    expansion; any other asks about its expansion, loaded then for the next
-    step, unless a member and its negation show it inconsistent.
+    expansion; any other goes to the kernel search, whose whole-set question
+    loads the expansion for the next step's filter.
     """
     expansion = depth1_expansion(base, ctx)
     released = len(expansion) > len(ctx.filter(base))
     kernels = frozenset()
     if (
-        released and any(isinstance(t, Not) and t.inner in expansion for t in expansion)
+        released
         or len({a for t in expansion for a in ctx.session.compiled(t).atoms}) > ctx.limits.atom_cap
-        or not is_consistent(expansion if released else base, limits=ctx.limits, session=ctx.session)
+        or not is_consistent(base, limits=ctx.limits, session=ctx.session)
     ):
         kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
     table = GradeTable(expansion, replace(ctx.canon, level=index + 1))

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from logag.classical import (
     Kernel,
     Session,
     _Solver,
+    _components,
     bottom_kernels,
     entails,
     entails_each,
@@ -66,7 +68,7 @@ def test_term_table_numbers_atoms_by_term():
     conj = session.compiled(T("q & p"))
     assert (conj.lit, conj.vars, conj.atoms) == (4, [3, 2, 4], [3, 2])
     assert conj.defs == [[-4, 3], [-4, 2], [4, -3, -2]]
-    assert list(session._atoms) == [tower, T("p"), first]
+    assert [t for t, entry in session._table.items() if entry.atoms == [entry.lit]] == [tower, T("p"), first]
 
 
 def test_consistency_examples():
@@ -241,12 +243,37 @@ def test_entails_each_refuses_at_the_goal_that_passes_the_atom_cap():
     assert batch_session.memo == single_session.memo == expected
 
 
+def propagated(n, clauses, lits):
+    """The literals propagating ``lits`` over ``clauses`` sets, on a new solver."""
+    solver = _Solver(n)
+    solver.push(clauses, [])
+    assert solver.propagate(list(lits))
+    return set(solver.trail)
+
+
 def assert_only_the_base_is_loaded(session):
-    """Between questions the solver holds the loaded base's clauses and trail, no more."""
+    """Between questions the solver holds every compiled clause once, and the loaded base's trail.
+
+    Each distinct connective is compiled once, to three clauses; those whose
+    variable the solver has room for are held exactly once, the others wait
+    for the rebuild the next question makes. The trail is the propagation
+    of the base's literals: at least over its own connectives' clauses, at
+    most over every clause held.
+    """
     solver = session._solver
-    assert len(solver.pushed) == session._pushed_mark
+    connectives = [entry.defs for entry in session._table.values() if entry.defs]
+    defs = {clauses[2][0]: clauses for clauses in connectives}  # by the connective's variable
+    assert len(defs) == len(connectives) and all(len(clauses) == 3 for clauses in connectives)
+    held = Counter(id(clause) for clauses in solver.occurs for clause in clauses)
+    assert held == Counter(id(c) for v in defs if v <= solver.n for c in defs[v] for _ in c)
     assert len(solver.trail) == session._trail_mark
-    assert sum(map(len, solver.occurs)) == sum(map(len, solver.pushed))
+    if session._base_false:
+        return
+    entries = [session.compiled(t) for t in session._base]
+    lits = [entry.lit for entry in entries if entry.lit is not True]
+    own = [c for v in {abs(v) for entry in entries for v in entry.vars} & set(defs) for c in defs[v]]
+    everything = [c for v in defs if v <= solver.n for c in defs[v]]
+    assert propagated(solver.n, own, lits) <= set(solver.trail) <= propagated(solver.n, everything, lits)
 
 
 def test_one_session_answers_like_the_oracles_across_bases_goals_and_kernel_searches(rng):
@@ -583,26 +610,72 @@ def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsis
     assert {True, False} <= {answer for _, answer in tautologies}
 
 
-def test_a_kernel_search_loads_nothing_and_leaves_the_loaded_base_as_it_was(monkeypatch, rng):
-    """The search answers its checks on its own solver, never the session's base."""
-    session = Session()
-    base = terms("a | b", "~c")
-    assert entails_each(base, [T("a"), T("c"), T("a | c")], session=session) == [False, False, False]
-    solver = session._solver
+def test_a_kernel_search_builds_no_solver_but_one_map_per_inconsistent_component(monkeypatch, rng):
+    """Every check is the session's question, answered on the session's solver.
 
-    def state():
-        return (session._base, list(solver.trail), list(solver.pushed), session._models, session._order)
+    Over a session that has compiled the universe, so its solver needs no
+    room, the only solvers a search builds are the maps of the components
+    it searches, one item per member.
+    """
+    built = []
+    init = _Solver.__init__
 
-    before = state()
-    loads = []
-    monkeypatch.setattr(Session, "_load", lambda self, b: loads.append(b))
+    def spy(self, n=0):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(_Solver, "__init__", spy)
     kernels_found = 0
     for _ in range(30):
         q = frozenset(term_with_constants(rng, ["a", "b", "c", "d"], 2) for _ in range(rng.randint(1, 6)))
         q |= frozenset(rng.sample([T("a"), T("~a"), T("a | ~a"), T("~a | b"), T("G(a, 1)")], 2))
-        got = {k.members for k in bottom_kernels(q, relevant_universe(q), session=session)}
+        universe = relevant_universe(q)
+        session = Session()
+        is_consistent(universe.terms, session=session)  # every term compiled, and the solver sized
+        solver = session._solver
+        built.clear()
+        got = {k.members for k in bottom_kernels(q, universe, session=session)}
         assert got == brute_kernels(q)
         kernels_found += bool(got)
-        assert loads == [] and session._solver is solver and state() == before
+        candidates = [t for t in sorted(q, key=render) if not tt_entails(frozenset(), t)]
+        groups = [[candidates[i] for i in g] for g in _components([session.compiled(t) for t in candidates])]
+        assert built == [len(g) for g in groups if not tt_satisfiable(g)]
+        assert session._solver is solver
         assert_only_the_base_is_loaded(session)
     assert kernels_found >= 10
+
+
+def test_a_goal_compiled_while_its_base_is_loaded_is_searched_on_each_of_its_variables():
+    # The goal's clauses go in over the base's trail, where a, b, c and d are
+    # true, so the third clauses of a & b and of c & d arrive unit, and
+    # only assigning their variables visits them.
+    session = Session()
+    base = terms("a", "b", "c", "d")
+    assert is_consistent(base, session=session) and session._solver.n >= 7
+    assert entails(base, T("(a & b) & (c & d)"), session=session)
+    assert_only_the_base_is_loaded(session)
+
+
+def test_a_goal_that_outgrows_the_solver_reloads_the_base(rng):
+    """Fresh atoms compiled while a base is loaded take the numbering past the solver.
+
+    The question's search then rebuilds the solver with every clause and
+    loads the base again; the answer is the truth tables', and that base
+    alone stays loaded.
+    """
+    base = terms("a | b", "~a | c")
+    session = Session()
+    assert entails(base, T("b | c"), session=session)
+    rebuilt, answers = 0, set()
+    for i in range(12):
+        solver = session._solver
+        x, y = Atom(f"x{i}"), Atom(f"y{i}")
+        part = term_with_constants(rng, ["a", "b", "c"], 2)
+        goal = rng.choice([Or, And])(Or(part, And(x, Or(y, Not(x)))), Or(T("b | c"), And(y, Not(x))))
+        answer = entails(base, goal, session=session)
+        assert answer == tt_entails(base, goal), render(goal)
+        answers.add(answer)
+        rebuilt += session._solver is not solver
+        assert session._base == base
+        assert_only_the_base_is_loaded(session)
+    assert rebuilt >= 2 and answers == {True, False}

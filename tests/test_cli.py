@@ -307,6 +307,17 @@ def test_over_deep_input_maps_to_exit_3(tmp_path, capsys):
     assert "error: input nests too deeply" in capsys.readouterr().err
 
 
+def test_a_330_deep_negation_chain_still_answers_under_check(tmp_path):
+    # 329 negations over p. Parsing hashes the chain two frames a level, so
+    # a deeper chain exits 3 there; compiling it takes no more frames.
+    deep = tmp_path / "deep.logag"
+    deep.write_text("~" * 329 + "p.\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    argv = [sys.executable, "-c", "from logag.cli import console_main; console_main()", "check", str(deep)]
+    done = subprocess.run(argv + ["--query", "p", "--query", "~p"], env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout.decode().split()) == (1, ["NO", "p", "YES", "~p"])
+
+
 @pytest.mark.parametrize(
     "target, argv",
     [

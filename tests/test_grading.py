@@ -1,8 +1,11 @@
 import copy
 import gc
+import importlib.util
+import json
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -221,26 +224,43 @@ def test_a_step_that_releases_nothing_asks_about_its_base_not_its_expansion(monk
 @pytest.mark.parametrize(
     "text, pair, kernels",
     [("G(p, 1).\nq.\n", False, 0), ("G(p & q, 1).\n~p | ~q.\n", False, 1), ("G(p, 1).\n~p.\n", True, 1)],
+    ids=["consistent", "inconsistent", "pair"],
 )
-def test_a_releasing_step_asks_about_its_expansion_unless_a_pair_shows_it_inconsistent(monkeypatch, text, pair, kernels):
-    """The session loads the expansion, which the next step's filter reuses.
+def test_a_releasing_step_asks_about_its_expansion_once_in_the_kernel_search(monkeypatch, text, pair, kernels):
+    """The kernel search's whole-set question asks about the expansion, once.
 
-    An expansion holding a member and its negation is inconsistent, so the
-    step goes to the kernel search, which loads nothing.
+    So it goes whether or not a member and its negation are both in the
+    expansion. The question loads it, and the step's later questions about
+    it, such as the fixpoint test's, find it loaded.
     """
-    loaded = []
-    load = Session._load
+    asked, loaded, searching = [], [], []
+    ask, load, search = Session.entails, Session._load, grading.bottom_kernels
 
-    def spy(self, base):
+    def spy_ask(self, base, goal, limits):
+        if (base, goal) not in self.memo:
+            asked.append((base, goal, bool(searching)))
+        return ask(self, base, goal, limits)
+
+    def spy_load(self, base):
         loaded.append(base)
         return load(self, base)
 
-    monkeypatch.setattr(Session, "_load", spy)
+    def spy_search(*args, **kwargs):
+        searching.append(True)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(Session, "entails", spy_ask)
+    monkeypatch.setattr(Session, "_load", spy_load)
+    monkeypatch.setattr(grading, "bottom_kernels", spy_search)
     trace = telescope_n(parse_theory(text), Canon("sum", "max", 1))
     record = trace.levels[0]
     assert record.expansion > trace.context.filter(record.base)
     assert any(isinstance(t, Not) and t.inner in record.expansion for t in record.expansion) == pair
-    assert (record.expansion in loaded) != pair
+    assert [inside for base, goal, inside in asked if (base, goal) == (record.expansion, FALSE)] == [True]
+    assert loaded.count(record.expansion) == 1
     assert len(record.kernels) == kernels
     assert trace.context.session.memo[record.expansion, FALSE] == bool(kernels)
 
@@ -770,3 +790,31 @@ def test_a_run_session_goes_with_its_trace_without_the_cycle_collector(ot1):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_capacity_refusals_match_the_golden_file():
+    """Where ``graded_consequences`` refuses, and with what, is pinned.
+
+    ``tests/data/capacity_refusals.json`` records, for ``atom_cap`` 6, 8, 10
+    and 14, each of the first 200 theories of seed 4 of
+    ``benchmarks/theories.py`` at sum/max level 4: its answers, or the
+    ``CapacityError``'s ``[what, limit, actual]``. A change to how the SAT
+    layer asks its questions moves refusal points first; regenerate the file
+    only for a change meant to move them.
+    """
+    root = Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location("bench_theories", root / "benchmarks" / "theories.py")
+    theories = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(theories)
+    golden = json.loads((root / "tests" / "data" / "capacity_refusals.json").read_text())
+    assert sorted(golden, key=int) == ["6", "8", "10", "14"]
+    for cap, outcomes in golden.items():
+        assert len(outcomes) == 200
+        for i, expected in enumerate(outcomes):
+            theory, queries = theories.theory(4, i)
+            try:
+                answers = graded_consequences(theory, theories.CANON, queries, Limits(atom_cap=int(cap)))
+                got = {render(q): answer for q, answer in answers.items()}
+            except CapacityError as err:
+                got = [err.what, err.limit, err.actual]
+            assert got == expected, (cap, i)
