@@ -28,7 +28,7 @@ from functools import reduce
 from itertools import combinations, islice, product
 from typing import Iterable, Optional
 
-from .classical import entails_each, is_consistent
+from .classical import entails_each, is_consistent, relevant_universe
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError, ParseError
 from .grading import Canon, RunContext, run_context, run_levels
@@ -264,16 +264,6 @@ def pi(rule: Rule) -> Term:
     return Or(Not(body), rule.conclusion)
 
 
-def chain_term(t: Term, depth: int) -> Term:
-    """``depth``-fold unit grading of ``t``."""
-    if depth < 1:
-        raise ValueError("chain depth must be >= 1")
-    out = t
-    for _ in range(depth):
-        out = Grade(out, Fraction(1))
-    return out
-
-
 @dataclass(frozen=True)
 class Indexing:
     """Bijection from non-empty subsets of the non-monotonic labels to 1..2^k-1."""
@@ -348,7 +338,13 @@ def translate(
     idx: Optional[Indexing] = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> Theory:
-    """Graded theory whose level-indexed consequences track the structures."""
+    """Graded theory whose level-indexed consequences track the structures.
+
+    Each non-monotonic rule's image gets one tower of unit grades, kept at
+    every depth, and its twin (the image's negation) one kept at the depths
+    of the subsets that leave the rule out. Each layer wraps the one below,
+    and equal subterms are one object.
+    """
     if idx is None:
         idx = default_indexing(rules, limits)
     nm_labels = frozenset(r.label for r in rules.nonmonotonic())
@@ -356,12 +352,16 @@ def translate(
     monotonic_part = frozenset(pi(r) for r in rules.rules if r.kind in (FACT, MONOTONIC))
     if not is_consistent(monotonic_part, limits=limits):
         raise EngineError("the base facts and monotonic rules are classically inconsistent")
-    terms = set(monotonic_part)
-    for subset, depth in idx.table:
-        for r in rules.nonmonotonic():
-            terms.add(chain_term(pi(r), depth))
+    twins = [Not(pi(r)) for r in rules.nonmonotonic()]
+    shared = relevant_universe([*monotonic_part, *twins]).shared
+    terms = {shared[t] for t in monotonic_part}
+    for r, twin in zip(rules.nonmonotonic(), twins):
+        image, twin = shared[twin].inner, shared[twin]
+        for subset, _ in sorted(idx.table, key=lambda entry: entry[1]):
+            image, twin = Grade(image, Fraction(1)), Grade(twin, Fraction(1))
+            terms.add(image)
             if r.label not in subset:
-                terms.add(chain_term(Not(pi(r)), depth))
+                terms.add(twin)
     return Theory(
         name=f"{rules.name}_graded",
         domains=(),

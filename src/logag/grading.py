@@ -12,8 +12,8 @@ One telescoping step takes a base of believed propositions and
    outermost grading proposition the supported set entails (``supported``).
 
 ``telescope_once`` takes the whole step, where steps 2 and 3 read one
-``GradeTable``, one walk of the expansion's grading spines that records
-both the chains fusion reads and the buriers support reads, and
+``GradeTable``: the expansion over the run's index of each proposition's
+burying terms, their depths and chain grades (``RunContext.towers``), and
 ``run_levels`` iterates it over one run, from which ``telescope_n``,
 ``find_fixpoint``, ``graded_consequences`` and ``arguments.verify`` each
 take the levels they need.
@@ -38,9 +38,11 @@ filter per base (``RunContext.filter``), asked for once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, count, islice
+from operator import add
 from typing import Iterable, Iterator, Optional
 
 from .classical import (
@@ -58,13 +60,10 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, UngradedError
 from .terms import Grade, GradeValue, Not, Term, Theory, render
 
-OTIMES = {
-    "sum": lambda gs: sum(gs, Fraction(0)),
-    "mean": lambda gs: sum(gs, Fraction(0)) / len(gs),
-    "min": min,
-    "max": max,
-}
+# Each chain operator, folded down a chain outermost first; ``mean`` divides by the length.
+OTIMES = {"sum": add, "mean": add, "min": min, "max": max}
 OPLUS = {"max": max, "min": min}
+Towers = dict[Term, list[tuple[int, Term, GradeValue]]]
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,8 @@ class RunContext:
     about last, kernel-search checks included, and its memo of every
     entailment answer the run has found. ``filters`` maps each base the run
     asks ``filter`` about to its filter, the universe terms it entails, and
-    ``refutations`` each term ``refuted`` is asked about to its answer; all
-    live with the context.
+    ``refutations`` each term ``refuted`` is asked about to its answer, and
+    ``towers`` is the universe's ``tower_index``, built on first use.
     """
 
     top: frozenset[Term]
@@ -125,9 +124,33 @@ class RunContext:
             answer = self.refutations[t] = entails(self.top, Not(t), limits=self.limits, session=self.session)
         return answer
 
+    @cached_property
+    def towers(self) -> Towers:
+        return tower_index(self.universe.terms, self.canon.otimes)
+
 
 # ---------------------------------------------------------------------------
 # Grades
+
+
+def tower_index(terms: Iterable[Term], otimes: str) -> Towers:
+    """Each proposition to one entry ``(d, t, v)`` per term ``t`` burying it.
+
+    ``t`` reaches the proposition ``d`` layers down its grading spine, and
+    ``v`` is the ``otimes`` of those ``d`` grades: one walk down ``t`` keeps a
+    running sum (over ``d`` for ``mean``) or a running extreme.
+    """
+    combine, mean = OTIMES[otimes], otimes == "mean"
+    start = Fraction(0) if combine is add else None
+    index: Towers = {}
+    for t in terms:
+        cursor, depth, acc = t, 0, start
+        while isinstance(cursor, Grade):
+            depth += 1
+            acc = cursor.grade if acc is None else combine(acc, cursor.grade)
+            cursor = cursor.inner
+            index.setdefault(cursor, []).append((depth, t, acc / depth if mean else acc))
+    return index
 
 
 def fused_grade(p: Term, q: Iterable[Term], canon: Canon) -> GradeValue:
@@ -142,43 +165,31 @@ def fused_grade(p: Term, q: Iterable[Term], canon: Canon) -> GradeValue:
 
 
 class GradeTable:
-    """One step's view of the expansion's grading spines, walked once.
+    """One step's grades: the members ``q`` read through a tower index.
 
     ``graded`` holds the propositions with an immediate grader G(p, g) in
-    the expansion; a proposition buried deeper is not graded yet. ``buriers``
-    maps each buried proposition to the members whose spine reaches it:
-    walking G(G(f,2),3) buries ``G(f,2)`` and ``f``. ``chains`` maps it to
-    the grades each of those spines carries down to it, outermost first,
-    keeping only chains of at most ``canon.level`` grades. ``fused`` fuses a
-    proposition's chains on first request and keeps the grade for the rest
-    of the step.
+    ``q``; a proposition buried deeper is not graded yet. ``fused`` fuses
+    the chains of ``p`` in ``q`` of at most ``level`` grades (``canon.level``
+    by default) on first request and keeps the grade for the step.
+    ``towers`` is the run's ``tower_index`` of a superset of ``q``; without
+    it, the table indexes ``q`` under ``canon.otimes``.
     """
 
-    def __init__(self, q: Iterable[Term], canon: Canon):
-        self.canon = canon
-        self.graded: set[Term] = set()
-        self.buriers: dict[Term, list[Term]] = {}
-        self.chains: dict[Term, list[tuple[GradeValue, ...]]] = {}
+    def __init__(self, q: Iterable[Term], canon: Canon, level: Optional[int] = None, towers: Optional[Towers] = None):
+        self.members = q if isinstance(q, frozenset) else frozenset(q)
+        self.level = canon.level if level is None else level
+        self.oplus = OPLUS[canon.oplus]
+        self.towers = tower_index(self.members, canon.otimes) if towers is None else towers
+        self.graded = {t.inner for t in self.members if isinstance(t, Grade)}
         self._fused: dict[Term, GradeValue] = {}
-        for t in q:
-            if isinstance(t, Grade):
-                self.graded.add(t.inner)
-            cursor, grades = t, ()
-            while isinstance(cursor, Grade):
-                grades += (cursor.grade,)
-                cursor = cursor.inner
-                self.buriers.setdefault(cursor, []).append(t)
-                if len(grades) <= canon.level:
-                    self.chains.setdefault(cursor, []).append(grades)
 
     def fused(self, p: Term) -> GradeValue:
         grade = self._fused.get(p)
         if grade is None:
-            chains = self.chains.get(p)
-            if not chains:
-                raise UngradedError(f"{render(p)} has no grading chain within level {self.canon.level}")
-            otimes = OTIMES[self.canon.otimes]
-            grade = self._fused[p] = OPLUS[self.canon.oplus]([otimes(c) for c in chains])
+            grades = [v for depth, t, v in self.towers.get(p, ()) if depth <= self.level and t in self.members]
+            if not grades:
+                raise UngradedError(f"{render(p)} has no grading chain within level {self.level}")
+            grade = self._fused[p] = self.oplus(grades)
         return grade
 
 
@@ -231,28 +242,28 @@ def supported(q: Iterable[Term], table: GradeTable, ctx: RunContext) -> frozense
     Starts from every universe term the top theory entails, then repeatedly
     admits members of ``q`` buried by some member of ``q`` that the
     supported set already entails: the outermost grading proposition of a
-    chain. ``table`` lists the buriers; it may be built from a superset of
-    ``q``, such as the step's expansion. Members of ``q`` with neither route (for
+    chain. The buriers are read from ``table``'s tower index, such as the
+    run's, and only those in ``q`` count. Members of ``q`` with neither route (for
     instance consequences that only ever followed from a now-evicted
     proposition) drop out here.
     """
     q_fs = q if isinstance(q, frozenset) else frozenset(q)
     result = set(ctx.filter(ctx.top))
-    pending = sorted((p for p in q_fs if p not in result), key=render)
+    buried = sorted((p for p in q_fs - result if p in table.towers), key=render)
+    pending = [(p, [w for _, w, _ in table.towers[p] if w in q_fs]) for p in buried]
     changed = True
     while changed and pending:
         changed = False
         snapshot = frozenset(result)
         still_pending = []
-        for p in pending:
-            if any(
-                w in q_fs and (w in snapshot or entails(snapshot, w, limits=ctx.limits, session=ctx.session))
-                for w in table.buriers.get(p, ())
+        for p, witnesses in pending:
+            if not snapshot.isdisjoint(witnesses) or any(
+                entails(snapshot, w, limits=ctx.limits, session=ctx.session) for w in witnesses
             ):
                 result.add(p)
                 changed = True
             else:
-                still_pending.append(p)
+                still_pending.append((p, witnesses))
         pending = still_pending
     return frozenset(result)
 
@@ -298,7 +309,7 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
         or not is_consistent(base, limits=ctx.limits, session=ctx.session)
     ):
         kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
-    table = GradeTable(expansion, replace(ctx.canon, level=index + 1))
+    table = GradeTable(expansion, ctx.canon, index + 1, ctx.towers)
     survivors = frozenset(
         p for p in expansion if all(survives(p, x, table, ctx) for x in kernels if p in x.members)
     )
@@ -345,17 +356,6 @@ def run_levels(ctx: RunContext) -> Iterator[LevelRecord]:
         base = record.supported
 
 
-def _spine_depth(terms: Iterable[Term]) -> int:
-    """The most grading layers any term carries directly around its core."""
-    deepest = 0
-    for t in terms:
-        depth = 0
-        while isinstance(t, Grade):
-            depth, t = depth + 1, t.inner
-        deepest = max(deepest, depth)
-    return deepest
-
-
 def telescope_n(
     theory: Theory,
     canon: Canon,
@@ -395,7 +395,7 @@ def graded_consequences(
     """
     query_list = list(queries)
     ctx = run_context(theory, canon, query_list, limits)
-    depth = _spine_depth(ctx.universe.terms)
+    depth = max((d for entries in ctx.towers.values() for d, _, _ in entries), default=0)
     base = ctx.top
     for record in islice(run_levels(ctx), canon.level):
         base = record.supported

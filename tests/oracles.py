@@ -3,11 +3,11 @@
 These deliberately avoid the engine's code paths: entailment is exhaustive
 truth-table evaluation, kernel enumeration is brute-force subset search,
 grading chains are peeled layer by layer and fused as peeled, survival
-follows the rule ``survives`` documents, and argument structures are
-checked against their four defining conditions one by one, and the universe
-is the closure under ``subterms``. Stable models of normal logic programs
-come from the Gelfond-Lifschitz reduct, candidate by candidate. Slow and
-simple on purpose.
+follows the rule ``survives`` documents, support is a least fixpoint over
+peeled chains, argument structures are checked against their four defining
+conditions one by one, and the universe is the closure under ``subterms``.
+Stable models of normal logic programs come from the Gelfond-Lifschitz
+reduct, candidate by candidate. Slow and simple on purpose.
 """
 
 from fractions import Fraction
@@ -134,18 +134,33 @@ def _atoms(t: Term) -> set:
     return set(acc)
 
 
-def _entails(base, goal: Term) -> bool:
-    """``tt_entails`` for a consistent base, reading only the part of it that
-    shares atoms with ``goal``, transitively: the rest has a model of its own."""
-    atoms = {t: _atoms(t) for t in base}
-    seen, part = _atoms(goal), []
+def _linked(atoms: dict, seen: set) -> list:
+    """Pops from ``atoms`` (term to its atoms) every term that shares atoms
+    with ``seen``, transitively, and returns them."""
+    part = []
     linked = True
     while linked:
         linked = [t for t in atoms if atoms[t] & seen]
         for t in linked:
             seen |= atoms.pop(t)
         part += linked
-    return tt_entails(part, goal)
+    return part
+
+
+def _entails(base, goal: Term) -> bool:
+    """``tt_entails`` for a consistent base, reading only the part of it that
+    shares atoms with ``goal``, transitively: the rest has a model of its own."""
+    return tt_entails(_linked({t: _atoms(t) for t in base}, _atoms(goal)), goal)
+
+
+def _consistent(base) -> bool:
+    """``tt_satisfiable`` of ``base``, one group of terms linked by shared atoms at a time."""
+    atoms = {t: _atoms(t) for t in base}
+    while atoms:
+        t, seen = atoms.popitem()
+        if not tt_satisfiable([t, *_linked(atoms, set(seen))]):
+            return False
+    return True
 
 
 def survivors(expansion, kernels, top, canon) -> frozenset:
@@ -176,6 +191,24 @@ def survivors(expansion, kernels, top, canon) -> frozenset:
         for p in expansion
         if all(p not in graded or any(blamed(o, p) for o in k) for k in kernels if p in k)
     )
+
+
+def supported(q, expansion, top) -> frozenset:
+    """The least set holding every member of ``expansion`` that ``top``
+    entails, and every member ``p`` of ``q`` buried by a member of ``q`` that
+    the set entails: the outermost proposition of one of ``p``'s
+    ``peeled_chains``. An inconsistent set entails everything."""
+    top_consistent = _consistent(top)
+    result = {u for u in expansion if not top_consistent or _entails(top, u)}
+    buriers = {p: [w for w in q if peeled_chains(p, {w})] for p in q - result}
+    while True:
+        consistent = _consistent(result)
+        admitted = {
+            p for p in buriers if p not in result and any(not consistent or _entails(result, w) for w in buriers[p])
+        }
+        if not admitted:
+            return frozenset(result)
+        result |= admitted
 
 
 def validate_structure(rules: RuleSet, args: frozenset) -> bool:

@@ -32,7 +32,6 @@ from logag.arguments import (
     Argument,
     Theorem1Report,
     Theorem2Report,
-    chain_term,
     maximal_structures,
     negate_literal,
     parse_indexing,
@@ -219,11 +218,21 @@ def test_pi_images(penguin_rules):
     assert pi(_rule(penguin_rules, "r1")) == T("true")
 
 
-def test_chain_term():
-    assert chain_term(T("p"), 1) == T("G(p, 1)")
-    assert chain_term(T("p"), 3) == T("G(G(G(p, 1), 1), 1)")
-    with pytest.raises(ValueError):
-        chain_term(T("p"), 0)
+def test_translate_builds_each_tower_once():
+    # subsets {r8}, {r9} and {r8, r9} get depths 1, 2 and 3
+    rules = parse_rules("r1: a.\nr8: a => c.\nr9: a => b.\n")
+    theory = translate(rules, default_indexing(rules))
+    assert T("G(a -> b, 1)") in theory.terms
+    assert T("G(G(G(a -> b, 1), 1), 1)") in theory.terms
+    assert T("G(~(a -> b), 1)") in theory.terms and T("G(G(~(a -> b), 1), 1)") not in theory.terms
+    assert T("G(G(~(a -> c), 1), 1)") in theory.terms
+    own = {t: t for t in theory.terms}
+    for t in theory.terms:
+        if isinstance(t, Grade):
+            assert t.grade == 1
+            assert own.get(t.inner, t.inner) is t.inner, render(t)
+    universe = relevant_universe(theory)
+    assert all(universe.shared[t] is t for t in theory.terms)
 
 
 def test_default_indexing(penguin_rules):
@@ -458,6 +467,14 @@ def test_verify_matches_per_structure_reference_on_seeded_systems():
     assert compared == 52  # the other 8 systems have no structure
 
 
+def test_verify_matches_per_structure_reference_on_the_5_default_chain():
+    # 31-deep towers; the highest structure level is 26
+    rules = parse_rules((Path(__file__).parent / "data" / "chain5.rules").read_text(encoding="utf-8"), "chain5")
+    idx = default_indexing(rules)
+    limits = Limits(atom_cap=300)
+    assert verify(rules, idx, limits) == _reference_reports(rules, idx, limits)
+
+
 CHAIN3 = Path(__file__).parent.parent / "benchmarks" / "inputs" / "chain3.rules"
 
 
@@ -543,6 +560,21 @@ def test_survivors_of_translated_systems_match_the_survival_oracle():
             canon = Canon("sum", "max", record.index + 1)
             expected = oracles.survivors(record.expansion, kernels, theory.terms, canon)
             assert record.survivors == expected, (seed, record.index)
+
+
+def test_supported_sets_of_translated_systems_match_the_support_oracle():
+    limits = Limits(atom_cap=256)
+    for seed in range(60):
+        rules = random_rule_system(random.Random(seed))
+        try:
+            theory = translate(rules, default_indexing(rules, limits), limits)
+        except EngineError:
+            continue  # inconsistent monotonic part
+        for otimes in ("sum", "mean", "min", "max"):
+            for oplus in ("max", "min"):
+                for record in telescope_n(theory, Canon(otimes, oplus, 3), (), limits).levels:
+                    expected = oracles.supported(record.survivors, record.expansion, theory.terms)
+                    assert record.supported == expected, (seed, otimes, oplus, record.index)
 
 
 # Structures (by index in ``verify``'s order) failing each theorem, per seed

@@ -69,10 +69,15 @@ def table(q, ctx, step):
     return GradeTable(q, replace(ctx.canon, level=step))
 
 
+def buriers(grades, p):
+    """The members of ``grades`` whose grading spine reaches ``p``, read from its tower index."""
+    return [t for _, t, _ in grades.towers.get(p, ()) if t in grades.members]
+
+
 def test_single_chain_from_nested_grading():
     q = terms("G(G(f, 2), 3)", "p")
     grades = GradeTable(q, Canon("sum", "max", 2))
-    assert grades.buriers[T("f")] == [T("G(G(f, 2), 3)")]
+    assert buriers(grades, T("f")) == [T("G(G(f, 2), 3)")]
     assert T("f") not in grades.graded and T("G(f, 2)") in grades.graded
     assert grades.fused(T("f")) == 5
     assert fused_grade(T("f"), q, Canon("min", "max", 2)) == 2
@@ -84,14 +89,14 @@ def test_single_chain_from_nested_grading():
 def test_no_chain_for_ungraded():
     q = terms("q", "G(r, 1)")
     grades = GradeTable(q, Canon("sum", "max", 5))
-    assert T("p") not in grades.buriers and T("p") not in grades.graded
+    assert not buriers(grades, T("p")) and T("p") not in grades.graded
     with pytest.raises(UngradedError):
         grades.fused(T("p"))
 
 
 def test_every_present_nesting_yields_a_chain():
     q = terms("G(f, 2)", "G(G(f, 2), 3)")
-    assert set(GradeTable(q, Canon("sum", "max", 2)).buriers[T("f")]) == q
+    assert set(buriers(GradeTable(q, Canon("sum", "max", 2)), T("f"))) == q
     # The short chain (2) and the long one (2, 3) are both fused.
     assert fused_grade(T("f"), q, Canon("sum", "max", 2)) == 5
     assert fused_grade(T("f"), q, Canon("sum", "min", 2)) == 2
@@ -117,13 +122,13 @@ def test_grading_chains_match_the_witness_table(rng):
             for p in candidates:
                 chains = oracles.peeled_chains(p, q)
                 assert (p in grades.graded) == any(len(g) == 1 for _, g in chains), (p, q)
-                buriers = grades.buriers.get(p, [])
-                assert set(buriers) == {m for m in q if oracles.peeled_chains(p, {m})}, (p, q)
+                found = buriers(grades, p)
+                assert set(found) == {m for m in q if oracles.peeled_chains(p, {m})}, (p, q)
                 # Each burier carries exactly one chain of p: the grades on its spine.
-                assert sorted(g for m in buriers for _, g in oracles.peeled_chains(p, {m})) == sorted(
+                assert sorted(g for m in found for _, g in oracles.peeled_chains(p, {m})) == sorted(
                     g for _, g in chains
                 )
-                for m in buriers:
+                for m in found:
                     ((_, g),) = oracles.peeled_chains(p, {m})
                     assert fused_grade(p, [m], Canon("sum", "max", len(g))) == sum(g)
                     with pytest.raises(UngradedError):
@@ -335,7 +340,7 @@ def test_a_proposition_without_an_immediate_grader_is_ungraded():
     ctx = context(th, "sum", "max")
     q = depth1_expansion(th.terms, ctx)
     grades = table(q, ctx, 1)
-    assert T("~p5") in q and T("~p5") in grades.buriers and T("~p5") not in grades.graded
+    assert T("~p5") in q and buriers(grades, T("~p5")) and T("~p5") not in grades.graded
     kernel = Kernel(terms("(p4 | p1) & p5", "~p5"))
     assert survives(T("~p5"), kernel, grades, ctx)
     assert not survives(T("(p4 | p1) & p5"), kernel, grades, ctx)
@@ -349,6 +354,15 @@ def test_survivors_match_the_survival_oracle(rng):
             kernels = [k.members for k in record.kernels]
             canon = Canon(otimes, oplus, record.index + 1)
             assert record.survivors == oracles.survivors(record.expansion, kernels, th.terms, canon)
+
+
+def test_supported_sets_match_the_support_oracle(rng):
+    for _ in range(40):
+        th = random_theory(rng, n_terms=rng.randint(2, 5), atoms=["a", "b", "c"], allow_grades=True)
+        for otimes, oplus in OPERATORS:
+            for record in telescope_n(th, Canon(otimes, oplus, 3)).levels:
+                expected = oracles.supported(record.survivors, record.expansion, th.terms)
+                assert record.supported == expected, (th, otimes, oplus, record.index)
 
 
 # -- support -----------------------------------------------------------------
@@ -383,6 +397,22 @@ def test_support_reaches_through_every_layer_of_a_member():
     theory = parse_theory("theory deep.\nG(G(f, 2), 3).\n")
     q, ctx = terms("G(G(f, 2), 3)", "f"), context(theory)
     assert T("f") in supported(q, table(q, ctx, 1), ctx)
+
+
+# Step 2 evicts ``G(b, 1) & (b & a)``, the only support of the surviving
+# ``G(b, 1)``, which is in turn the only burier of the surviving ``b``.
+UNSUPPORTED_BURIER = (
+    "G(G(G(a, 1), 1), 1).\nG(G(G(a, 1), 3), 1).\nG(G(G(b, 1) & (b & a), 2), 1).\nG(G(G(~a, 3), 3), 2).\n"
+)
+
+
+def test_a_member_buried_only_by_an_unsupported_survivor_drops_out():
+    th = parse_theory(UNSUPPORTED_BURIER)
+    for otimes, oplus in OPERATORS:
+        step = telescope_n(th, Canon(otimes, oplus, 4)).levels[2]
+        assert terms("G(b, 1)", "b") <= step.survivors
+        assert not terms("G(b, 1)", "b") & step.supported
+        assert step.supported == oracles.supported(step.survivors, step.expansion, th.terms)
 
 
 # -- telescoping -------------------------------------------------------------
