@@ -39,11 +39,8 @@ def main():
     print(f"\nbeliefs stabilize at level {level}.")
     print("conflicts resolved on the way there:")
     for record in trace.levels:
-        for kernel in sorted(
-            record.kernels, key=lambda k: tuple(render(m) for m in k.sorted_members())
-        ):
-            members = ", ".join(render(m) for m in kernel.sorted_members())
-            print(f"  entering level {record.index + 1}: {{{members}}}")
+        for members in sorted(sorted(map(render, k.members)) for k in record.kernels):
+            print(f"  entering level {record.index + 1}: {{{', '.join(members)}}}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ argument structure shows up as the consequence set of some level.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice, product
@@ -32,6 +31,7 @@ from .classical import entails_each, is_consistent, relevant_universe
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError, ParseError
 from .grading import Canon, RunContext, run_context, run_levels
+from .records import record
 from .terms import (
     And,
     Atom,
@@ -64,7 +64,7 @@ def negate_literal(t: Term) -> Term:
     return Not(t)
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     label: str
     kind: str
@@ -83,7 +83,7 @@ class Rule:
                 raise ValueError(f"rule {self.label}: {render(w)} is not a literal")
 
 
-@dataclass(frozen=True)
+@record
 class RuleSet:
     name: str
     rules: tuple[Rule, ...]
@@ -115,7 +115,7 @@ def parse_rules(text: str, name: str = "rules") -> RuleSet:
 # Arguments
 
 
-@dataclass(frozen=True)
+@record
 class Argument:
     """Rooted tree: children's roots are the premises of the labelled rule.
 
@@ -179,7 +179,7 @@ def enumerate_arguments(rules: RuleSet, limits: Limits = DEFAULT_LIMITS) -> tupl
         known |= fresh
 
 
-@dataclass(frozen=True)
+@record
 class ArgumentStructure:
     arguments: frozenset[Argument]
 
@@ -264,7 +264,7 @@ def pi(rule: Rule) -> Term:
     return Or(Not(body), rule.conclusion)
 
 
-@dataclass(frozen=True)
+@record
 class Indexing:
     """Bijection from non-empty subsets of the non-monotonic labels to 1..2^k-1."""
 
@@ -382,7 +382,7 @@ def structure_level(t: ArgumentStructure, rules: RuleSet, idx: Indexing) -> int:
     return idx.index_of(used) if used else 0
 
 
-@dataclass(frozen=True)
+@record
 class Theorem1Report:
     level: int
     results: tuple[tuple[Term, bool], ...]
@@ -401,7 +401,7 @@ def check_theorem1(t: ArgumentStructure, level: int, base: frozenset[Term], ctx:
     return Theorem1Report(level, results, all(ok for _, ok in results))
 
 
-@dataclass(frozen=True)
+@record
 class Theorem2Report:
     level: int
     failures: tuple[tuple[Term, frozenset[Term]], ...]

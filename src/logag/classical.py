@@ -50,11 +50,11 @@ of limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, KeysView, Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError
+from .records import record
 from .terms import TRUE, Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueTerm, render
 
 FALSE = Not(TRUE)  # the goal a base entails exactly when it is inconsistent
@@ -432,18 +432,19 @@ def mutually_entailing(
 # Universe
 
 
-@dataclass(frozen=True)
+@record(hidden=("shared",))
 class Universe:
     """Finite stand-in for the infinitely many propositions a filter holds.
 
     The closure of a theory (plus any query terms) under subterms — boolean
     structure, grading nesting, and the proposition inside every grading
-    term. Deterministically ordered so traces are reproducible.
+    term. Deterministically ordered so traces are reproducible. ``shared``
+    maps each term to the universe's own object for it; it takes no part in
+    ``==``, ``hash`` or ``repr``.
     """
 
     terms: tuple[Term, ...]
-    shared: dict[Term, Term] = field(compare=False, repr=False)
-    """Each term to the universe's own object for it."""
+    shared: dict[Term, Term]
 
     @property
     def term_set(self) -> KeysView[Term]:
@@ -484,14 +485,11 @@ def relevant_universe(theory: Theory | Iterable[Term], extra: Iterable[Term] = (
 # Kernels
 
 
-@dataclass(frozen=True)
+@record
 class Kernel:
     """A subset-minimal inconsistent subset of a queried base."""
 
     members: frozenset[Term]
-
-    def sorted_members(self) -> tuple[Term, ...]:
-        return tuple(sorted(self.members, key=render))
 
 
 def _components(entries: list[_Compiled]) -> list[list[int]]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
 from typing import Optional
 
 from .arguments import (
@@ -98,7 +97,7 @@ def _read(path: str) -> str:
 
 
 def _limits(ns) -> Limits:
-    return replace(DEFAULT_LIMITS, atom_cap=ns.atom_cap, depth_cap=ns.depth_cap)
+    return Limits(atom_cap=ns.atom_cap, depth_cap=ns.depth_cap)
 
 
 def _term_line(rendered: list[str]) -> str:
@@ -128,7 +127,7 @@ def _cmd_check(ns, out) -> int:
     if ns.format == "json":
         doc = {
             "theory": theory.name,
-            "canon": asdict(canon),
+            "canon": {"otimes": canon.otimes, "oplus": canon.oplus, "level": canon.level},
             "results": [{"query": render(q), "holds": ok} for q, ok in answers],
         }
         print(json.dumps(doc, indent=2), file=out)

@@ -5,10 +5,10 @@ minute-long runs on oversized inputs, operations raise
 :class:`logag.errors.CapacityError` when one of these limits is exceeded.
 """
 
-from dataclasses import dataclass
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Limits:
     atom_cap: int = 24      # distinct boolean atoms per entailment query
     kernel_cap: int = 20    # conflict-relevant members per kernel search component

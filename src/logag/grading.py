@@ -38,7 +38,6 @@ filter per base (``RunContext.filter``), asked for once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, islice
@@ -58,6 +57,7 @@ from .classical import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, UngradedError
+from .records import record
 from .terms import Grade, GradeValue, Not, Term, Theory, render
 
 # Each chain operator, folded down a chain outermost first; ``mean`` divides by the length.
@@ -66,7 +66,7 @@ OPLUS = {"max": max, "min": min}
 Towers = dict[Term, list[tuple[int, Term, GradeValue]]]
 
 
-@dataclass(frozen=True)
+@record
 class Canon:
     """Fusion configuration: chain operator, cross-chain operator, level."""
 
@@ -83,7 +83,6 @@ class Canon:
             raise ValueError("level must be >= 0")
 
 
-@dataclass(frozen=True)
 class RunContext:
     """What every step of one telescoping run shares.
 
@@ -96,16 +95,16 @@ class RunContext:
     entailment answer the run has found. ``filters`` maps each base the run
     asks ``filter`` about to its filter, the universe terms it entails, and
     ``refutations`` each term ``refuted`` is asked about to its answer, and
-    ``towers`` is the universe's ``tower_index``, built on first use.
+    ``towers`` is the universe's ``tower_index``, built on first use. The
+    session and both tables start empty with the run, and a context equals
+    only itself.
     """
 
-    top: frozenset[Term]
-    universe: Universe
-    canon: Canon
-    limits: Limits = DEFAULT_LIMITS
-    session: Session = field(default_factory=Session, compare=False, repr=False)
-    filters: dict[frozenset[Term], frozenset[Term]] = field(default_factory=dict, compare=False, repr=False)
-    refutations: dict[Term, bool] = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, top: frozenset[Term], universe: Universe, canon: Canon, limits: Limits = DEFAULT_LIMITS):
+        self.top, self.universe, self.canon, self.limits = top, universe, canon, limits
+        self.session = Session()
+        self.filters: dict[frozenset[Term], frozenset[Term]] = {}
+        self.refutations: dict[Term, bool] = {}
 
     def filter(self, base: Iterable[Term]) -> frozenset[Term]:
         """The universe terms ``base`` entails, asked once per base per run."""
@@ -268,7 +267,7 @@ def supported(q: Iterable[Term], table: GradeTable, ctx: RunContext) -> frozense
     return frozenset(result)
 
 
-@dataclass(frozen=True)
+@record
 class LevelRecord:
     """Level ``index`` base plus the machinery of the step leaving it.
 
@@ -310,9 +309,10 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
     ):
         kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
     table = GradeTable(expansion, ctx.canon, index + 1, ctx.towers)
-    survivors = frozenset(
-        p for p in expansion if all(survives(p, x, table, ctx) for x in kernels if p in x.members)
-    )
+    evicted: set[Term] = set()
+    for x in kernels:
+        evicted.update(p for p in x.members - evicted if p in table.graded and not survives(p, x, table, ctx))
+    survivors = expansion - evicted
     next_base = supported(survivors, table, ctx)
     fixpoint = next_base == base or mutually_entailing(next_base, base, limits=ctx.limits, session=ctx.session)
     return LevelRecord(index, base, expansion, kernels, survivors, next_base, fixpoint)
@@ -322,7 +322,7 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
 # Iterated telescoping
 
 
-@dataclass(frozen=True)
+@record
 class TelescopeTrace:
     """The levels of one run, and the run's context with its session."""
 
@@ -444,9 +444,10 @@ def _sorted_renders(ts: Iterable[Term]) -> list[str]:
 
 def trace_to_dict(trace: TelescopeTrace) -> dict:
     """JSON-ready document; term text is the term grammar, bit-exact."""
+    canon = trace.context.canon
     return {
         "theory": trace.theory_name,
-        "canon": asdict(trace.context.canon),
+        "canon": {"otimes": canon.otimes, "oplus": canon.oplus, "level": canon.level},
         "levels": [
             {
                 "index": record.index,

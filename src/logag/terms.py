@@ -35,23 +35,23 @@ Rules files (``rule_statements``) use the same tokens, over literals only:
                  | wff ("," wff)* ("->" | "=>") wff (monotonic | non-monotonic)
     wff         := ["~"] (atom | "true")
 
-Individuals and terms are frozen, slotted dataclasses that hash once: the
-structural hash, the same value the generated dataclass hash gives, is
-computed on first use and kept in a slot. A term's ``render`` text is kept
-the same way, in a second slot, so it lives exactly as long as the term and
-no module holds a table of texts. Equality stays structural, whichever
-objects are compared; the slots take no part in ``==`` or ``repr``.
+Individuals and terms are frozen, slotted records (``logag.records``) that
+hash once: the structural hash, the hash of the field tuple, is computed on
+first use and kept in a slot. A term's ``render`` text is kept the same way,
+in a second slot, so it lives exactly as long as the term and no module
+holds a table of texts. Equality stays structural, whichever objects are
+compared; the slots take no part in ``==`` or ``repr``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Optional
 
 from .errors import ParseError
+from .records import record
 
 GradeValue = Fraction
 
@@ -65,14 +65,14 @@ class _HashOnce:
 
 
 def _hash_once(cls):
-    """Make ``cls`` a frozen, slotted dataclass whose hash is computed once.
+    """Make ``cls`` a frozen, slotted record whose hash is computed once.
 
-    The cached value is the generated dataclass hash, ``hash((field1,
-    field2, ...))``, so frozenset iteration order, and with it SAT branching
-    and every trace, is the same as with the generated hash. ``cls`` must
-    derive from :class:`_HashOnce`, which holds the slot.
+    The cached value is the record's hash, ``hash((field1, field2, ...))``,
+    which frozenset iteration order, and with it SAT branching and every
+    trace, depends on. ``cls`` must derive from :class:`_HashOnce`, which
+    holds the slot.
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = record(cls, slots=True)
     structural = cls.__hash__
 
     def __hash__(self):
@@ -101,7 +101,7 @@ class Individual(_HashOnce):
 
 
 class Term(_HashOnce):
-    """Marker base class; concrete terms are the frozen dataclasses below."""
+    """Marker base class; concrete terms are the frozen records below."""
 
     __slots__ = ()
 
@@ -161,7 +161,7 @@ class GradeEq(Term):
 TRUE = TrueTerm()
 
 
-@dataclass(frozen=True)
+@record
 class Theory:
     """A named finite set of ground terms plus its domain declarations."""
 
@@ -243,7 +243,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str
     text: str

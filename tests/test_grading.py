@@ -3,7 +3,6 @@ import gc
 import importlib.util
 import json
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,7 +65,7 @@ OPERATORS = [(otimes, oplus) for otimes in ("sum", "mean", "min", "max") for opl
 
 
 def table(q, ctx, step):
-    return GradeTable(q, replace(ctx.canon, level=step))
+    return GradeTable(q, Canon(ctx.canon.otimes, ctx.canon.oplus, step))
 
 
 def buriers(grades, p):

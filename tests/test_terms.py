@@ -1,4 +1,5 @@
-from dataclasses import FrozenInstanceError, fields
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,12 @@ from logag import (
     Not,
     Or,
     ParseError,
+    TrueTerm,
     parse_term,
     parse_theory,
     render,
 )
+from logag.records import FrozenError
 from logag.terms import theory_to_text
 from oracles import subterms
 from conftest import random_term
@@ -244,13 +247,34 @@ def _layout_samples(rng):
     return samples
 
 
-def test_hash_is_the_hash_of_the_field_tuple(rng):
-    # the value the generated dataclass hash gave, so frozenset order is kept
+# Each kind's fields, in order.
+FIELDS = {
+    Individual: ("name", "args"),
+    TrueTerm: (),
+    Atom: ("predicate", "args"),
+    Not: ("inner",),
+    And: ("left", "right"),
+    Or: ("left", "right"),
+    Grade: ("inner", "grade"),
+    Less: ("a", "b"),
+    GradeEq: ("a", "b"),
+}
+
+
+def _layout_parts(rng):
     for sample in _layout_samples(rng):
-        parts = [sample] if isinstance(sample, Individual) else list(subterms(sample))
-        for t in parts:
-            first = hash(t)
-            assert first == hash(t) == hash(tuple(getattr(t, f.name) for f in fields(t)))
+        yield from [sample] if isinstance(sample, Individual) else subterms(sample)
+
+
+def test_hash_is_the_hash_of_the_field_tuple(rng):
+    # frozenset order, and with it SAT numbering and every trace, follows this hash
+    kinds = set()
+    for t in _layout_parts(rng):
+        kinds.add(type(t))
+        assert type(t).__match_args__ == FIELDS[type(t)]
+        first = hash(t)
+        assert first == hash(t) == hash(tuple(getattr(t, name) for name in FIELDS[type(t)]))
+    assert kinds == set(FIELDS)
 
 
 def test_cached_hash_is_invisible_to_eq_and_repr(rng):
@@ -267,11 +291,32 @@ def test_cached_hash_is_invisible_to_eq_and_repr(rng):
 
 
 def test_terms_are_frozen_and_slotted(rng):
-    for t in _layout_samples(rng):
-        for f in fields(t):
-            with pytest.raises(FrozenInstanceError):
-                setattr(t, f.name, getattr(t, f.name))
-        # Python 3.10 and 3.11 refuse a name that is not a field with TypeError
-        with pytest.raises((FrozenInstanceError, TypeError)):
+    assert issubclass(FrozenError, AttributeError)
+    for t in _layout_parts(rng):
+        for name in FIELDS[type(t)]:
+            with pytest.raises(FrozenError):
+                setattr(t, name, getattr(t, name))
+            with pytest.raises(FrozenError):
+                delattr(t, name)
+        with pytest.raises(FrozenError):
             t._hash = 0
+        with pytest.raises(FrozenError):
+            t.extra = 0
         assert not hasattr(t, "__dict__")
+
+
+def test_terms_survive_copies_and_pickles(rng):
+    for t in _layout_parts(rng):
+        hash(t)  # the cached slots do not travel, and need not
+        if not isinstance(t, Individual):
+            render(t)
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(twin) is type(t) and twin == t
+            assert hash(twin) == hash(t) and repr(twin) == repr(t)
+            assert not hasattr(twin, "__dict__")
+        deep = copy.deepcopy(t)
+        for name in FIELDS[type(t)]:
+            value = getattr(t, name)
+            assert getattr(deep, name) == value
+            if isinstance(value, (Individual, Not, And, Or, Grade, Atom)):
+                assert getattr(deep, name) is not value
