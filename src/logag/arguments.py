@@ -22,10 +22,10 @@ argument structure shows up as the consequence set of some level.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice, product
-from typing import Iterable, Optional
 
 from .classical import entails_each, is_consistent, relevant_universe
 from .config import DEFAULT_LIMITS, Limits
@@ -124,7 +124,7 @@ class Argument:
 
     root: Term
     children: tuple["Argument", ...] = ()
-    rule_label: Optional[str] = None
+    rule_label: str | None = None
 
     def nodes(self) -> frozenset[Term]:
         out = {self.root}
@@ -200,7 +200,7 @@ def _roots_consistent(args: Iterable[Argument]) -> bool:
 def enumerate_structures(
     rules: RuleSet,
     limits: Limits = DEFAULT_LIMITS,
-    arguments: Optional[tuple[Argument, ...]] = None,
+    arguments: tuple[Argument, ...] | None = None,
 ) -> tuple[ArgumentStructure, ...]:
     """Every argument structure over the rules, smallest first.
 
@@ -335,7 +335,7 @@ def parse_indexing(text: str, rules: RuleSet) -> Indexing:
 
 def translate(
     rules: RuleSet,
-    idx: Optional[Indexing] = None,
+    idx: Indexing | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> Theory:
     """Graded theory whose level-indexed consequences track the structures.

@@ -50,7 +50,7 @@ of limits.
 
 from __future__ import annotations
 
-from typing import Iterable, KeysView, Optional
+from collections.abc import Iterable, KeysView
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError
@@ -208,12 +208,12 @@ class Session:
         self._table: dict[Term, _Compiled] = {}
         self._n = 0
         self._solver = _Solver()
-        self._base: Optional[frozenset[Term]] = None
+        self._base: frozenset[Term] | None = None
         self._base_atoms: set[int] = set()
         self._base_false = False
         self._order: list[int] = []  # the base's atoms still unassigned
-        self._models: Optional[list[set[int]]] = None  # the base's models, taken on first need
-        self._first: Optional[set[int]] = None  # the true-first model, if a consistency search found it
+        self._models: list[set[int]] | None = None  # the base's models, taken on first need
+        self._first: set[int] | None = None  # the true-first model, if a consistency search found it
         self._trail_mark = 0
 
     # -- the term table ----------------------------------------------------
@@ -299,7 +299,7 @@ class Session:
         if base is not self._base and base != self._base:
             self._load(base)
 
-    def _consistent(self, negated: Optional[_Compiled]) -> bool:
+    def _consistent(self, negated: _Compiled | None) -> bool:
         """Whether the loaded base is consistent, with ``Not(negated)`` when given.
 
         ``negated``'s negated literal is queued, and the search branches on
@@ -380,14 +380,14 @@ def _frozen(ts: Iterable[Term]) -> frozenset[Term]:
 
 
 def satisfiable(
-    ts: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS, session: Optional[Session] = None
+    ts: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS, session: Session | None = None
 ) -> bool:
     """True iff some valuation satisfies all of ``ts``: ``ts`` does not entail ``~true``."""
     return not (Session() if session is None else session).entails(_frozen(ts), FALSE, limits)
 
 
 def entails(
-    base: Iterable[Term], goal: Term, *, limits: Limits = DEFAULT_LIMITS, session: Optional[Session] = None
+    base: Iterable[Term], goal: Term, *, limits: Limits = DEFAULT_LIMITS, session: Session | None = None
 ) -> bool:
     """True iff every boolean valuation satisfying all of ``base`` satisfies ``goal``."""
     return (Session() if session is None else session).entails(_frozen(base), goal, limits)
@@ -398,7 +398,7 @@ def entails_each(
     goals: Iterable[Term],
     *,
     limits: Limits = DEFAULT_LIMITS,
-    session: Optional[Session] = None,
+    session: Session | None = None,
 ) -> list[bool]:
     """``entails(base, goal)`` for each goal in order, loading the base once."""
     session = Session() if session is None else session
@@ -414,7 +414,7 @@ def mutually_entailing(
     b: Iterable[Term],
     *,
     limits: Limits = DEFAULT_LIMITS,
-    session: Optional[Session] = None,
+    session: Session | None = None,
 ) -> bool:
     """True iff the two bases generate the same filter.
 
@@ -432,19 +432,20 @@ def mutually_entailing(
 # Universe
 
 
-@record(hidden=("shared",))
 class Universe:
     """Finite stand-in for the infinitely many propositions a filter holds.
 
     The closure of a theory (plus any query terms) under subterms — boolean
     structure, grading nesting, and the proposition inside every grading
     term. Deterministically ordered so traces are reproducible. ``shared``
-    maps each term to the universe's own object for it; it takes no part in
-    ``==``, ``hash`` or ``repr``.
+    maps each term to the universe's own object for it; nothing compares,
+    hashes or prints a universe, so it is a plain class, not a record.
     """
 
-    terms: tuple[Term, ...]
-    shared: dict[Term, Term]
+    __slots__ = ("terms", "shared")
+
+    def __init__(self, terms: tuple[Term, ...], shared: dict[Term, Term]):
+        self.terms, self.shared = terms, shared
 
     @property
     def term_set(self) -> KeysView[Term]:
@@ -557,7 +558,7 @@ def bottom_kernels(
     universe: Universe,
     *,
     limits: Limits = DEFAULT_LIMITS,
-    session: Optional[Session] = None,
+    session: Session | None = None,
 ) -> frozenset[Kernel]:
     """All subset-minimal inconsistent subsets of ``q``.
 

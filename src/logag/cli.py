@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .arguments import (
     default_indexing,
@@ -208,7 +207,7 @@ def _cmd_args(ns, out) -> int:
     return EXIT_OK if all_ok else EXIT_NO
 
 
-def main(argv: Optional[list[str]] = None, out=None) -> int:
+def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     try:

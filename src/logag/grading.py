@@ -38,11 +38,11 @@ filter per base (``RunContext.filter``), asked for once.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, islice
 from operator import add
-from typing import Iterable, Iterator, Optional
 
 from .classical import (
     Kernel,
@@ -174,7 +174,7 @@ class GradeTable:
     it, the table indexes ``q`` under ``canon.otimes``.
     """
 
-    def __init__(self, q: Iterable[Term], canon: Canon, level: Optional[int] = None, towers: Optional[Towers] = None):
+    def __init__(self, q: Iterable[Term], canon: Canon, level: int | None = None, towers: Towers | None = None):
         self.members = q if isinstance(q, frozenset) else frozenset(q)
         self.level = canon.level if level is None else level
         self.oplus = OPLUS[canon.oplus]
@@ -411,7 +411,7 @@ def find_fixpoint(
     oplus: str,
     max_n: int,
     limits: Limits = DEFAULT_LIMITS,
-) -> tuple[Optional[int], TelescopeTrace]:
+) -> tuple[int | None, TelescopeTrace]:
     """Smallest level whose base the next telescoping step leaves unchanged.
 
     Compares consecutive bases up to level ``max_n``; returns ``(i, trace)``

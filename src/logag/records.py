@@ -6,15 +6,17 @@ but no source compiled at import:
 
 - ``__init__`` takes the fields in order, by position or by keyword; a class
   attribute is its field's default. ``__post_init__``, if defined, runs last.
-- ``==`` compares two records of one class field by field, ``hash`` is the
-  hash of the field tuple, and ``repr`` reads ``Name(field=value, ...)``. A
-  field named in ``hidden`` is set but takes no part in any of the three.
+- ``==`` compares two records of one class field by field, and ``repr``
+  reads ``Name(field=value, ...)``. ``hash`` is the hash of the field tuple,
+  computed on first use and kept in a ``_hash`` slot.
 - Assigning or deleting any attribute raises :class:`FrozenError`.
 - Copies and pickles rebuild a record from its fields.
 - ``__match_args__`` lists the fields in order.
 
-With ``slots=True`` the class is rebuilt with one slot per field and no
-``__dict__``.
+``record`` takes no options: every record class is rebuilt with one slot
+per field, plus ``_hash``, and no ``__dict__``. Because the class is
+rebuilt, a record's methods must not call zero-argument ``super()``: its
+``__class__`` cell names the class as written, not the record.
 """
 
 from operator import attrgetter
@@ -34,17 +36,13 @@ def _getter(names):
     return lambda self: ()
 
 
-def record(cls=None, *, slots=False, hidden=()):
+def record(cls):
     """Make ``cls`` a frozen record of its annotated fields (see the module docstring)."""
-    if cls is None:
-        return lambda cls: record(cls, slots=slots, hidden=hidden)
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    if slots:
-        body = {k: v for k, v in cls.__dict__.items() if k not in (*names, "__dict__", "__weakref__")}
-        cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names})
-    shown = tuple(name for name in names if name not in hidden)
-    fields, compared = _getter(names), _getter(shown)
+    body = {k: v for k, v in cls.__dict__.items() if k not in (*names, "__dict__", "__weakref__")}
+    cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": (*names, "_hash")})
+    fields = _getter(names)
     post_init = getattr(cls, "__post_init__", None)
     set_field = object.__setattr__
 
@@ -63,24 +61,26 @@ def record(cls=None, *, slots=False, hidden=()):
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
             args = bind(args, kwargs)
-        if slots:
-            for name, value in zip(names, args):
-                set_field(self, name, value)
-        else:
-            vars(self).update(zip(names, args))
+        for name, value in zip(names, args):
+            set_field(self, name, value)
         if post_init is not None:
             post_init(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return compared(self) == compared(other)
+            return fields(self) == fields(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(compared(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(fields(self))
+            set_field(self, "_hash", h)
+            return h
 
     def __repr__(self):
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
     def __setattr__(self, name, value):
         raise FrozenError(f"cannot assign to {type(self).__name__}.{name}")

@@ -35,20 +35,20 @@ Rules files (``rule_statements``) use the same tokens, over literals only:
                  | wff ("," wff)* ("->" | "=>") wff (monotonic | non-monotonic)
     wff         := ["~"] (atom | "true")
 
-Individuals and terms are frozen, slotted records (``logag.records``) that
-hash once: the structural hash, the hash of the field tuple, is computed on
-first use and kept in a slot. A term's ``render`` text is kept the same way,
-in a second slot, so it lives exactly as long as the term and no module
-holds a table of texts. Equality stays structural, whichever objects are
-compared; the slots take no part in ``==`` or ``repr``.
+Individuals and terms are records (``logag.records``), so each hashes once:
+the structural hash, the hash of the field tuple, is computed on first use
+and kept in a ``_hash`` slot. A term's ``render`` text is kept the same way,
+in the ``_text`` slot of :class:`Term`, so it lives exactly as long as the
+term and no module holds a table of texts. Equality stays structural,
+whichever objects are compared; the slots take no part in ``==`` or ``repr``.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, Optional
 
 from .errors import ParseError
 from .records import record
@@ -58,37 +58,8 @@ GradeValue = Fraction
 _KEYWORDS = {"domain", "forall", "in", "theory"}
 
 
-class _HashOnce:
-    """Holds the slots of an individual's or a term's structural hash and of a term's text."""
-
-    __slots__ = ("_hash", "_text")
-
-
-def _hash_once(cls):
-    """Make ``cls`` a frozen, slotted record whose hash is computed once.
-
-    The cached value is the record's hash, ``hash((field1, field2, ...))``,
-    which frozenset iteration order, and with it SAT branching and every
-    trace, depends on. ``cls`` must derive from :class:`_HashOnce`, which
-    holds the slot.
-    """
-    cls = record(cls, slots=True)
-    structural = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_hash_once
-class Individual(_HashOnce):
+@record
+class Individual:
     """A constant or a functional individual such as ``penguin(A)``."""
 
     name: str
@@ -100,41 +71,41 @@ class Individual(_HashOnce):
         return f"{self.name}({', '.join(a.render() for a in self.args)})"
 
 
-class Term(_HashOnce):
+class Term:
     """Marker base class; concrete terms are the frozen records below."""
 
-    __slots__ = ()
+    __slots__ = ("_text",)
 
 
-@_hash_once
+@record
 class TrueTerm(Term):
     pass
 
 
-@_hash_once
+@record
 class Atom(Term):
     predicate: str
     args: tuple[Individual, ...] = ()
 
 
-@_hash_once
+@record
 class Not(Term):
     inner: Term
 
 
-@_hash_once
+@record
 class And(Term):
     left: Term
     right: Term
 
 
-@_hash_once
+@record
 class Or(Term):
     left: Term
     right: Term
 
 
-@_hash_once
+@record
 class Grade(Term):
     """The grading proposition: ``inner`` carries grade ``grade``."""
 
@@ -146,13 +117,13 @@ class Grade(Term):
             raise ValueError(f"grade must be non-negative, got {self.grade}")
 
 
-@_hash_once
+@record
 class Less(Term):
     a: GradeValue
     b: GradeValue
 
 
-@_hash_once
+@record
 class GradeEq(Term):
     a: GradeValue
     b: GradeValue
@@ -292,7 +263,7 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
+    def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
@@ -431,7 +402,7 @@ def parse_term(text: str) -> Term:
     return t
 
 
-def rule_statements(text: str) -> Iterator[tuple[str, Optional[str], tuple[Term, ...], Term]]:
+def rule_statements(text: str) -> Iterator[tuple[str, str | None, tuple[Term, ...], Term]]:
     """Read a rules file's statements, one at a time, in file order.
 
     Yields ``(label, arrow, premises, conclusion)``: ``arrow`` is ``"->"``
@@ -476,7 +447,7 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
     parser = _Parser(text)
     domains: dict[str, tuple[Individual, ...]] = {}
     terms: dict[Term, None] = {}
-    declared_name: Optional[str] = None
+    declared_name: str | None = None
 
     while parser.peek().kind != "eof":
         tok = parser.peek()

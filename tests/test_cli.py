@@ -307,11 +307,14 @@ def test_over_deep_input_maps_to_exit_3(tmp_path, capsys):
     assert "error: input nests too deeply" in capsys.readouterr().err
 
 
-def test_a_330_deep_negation_chain_still_answers_under_check(tmp_path):
-    # 329 negations over p. Parsing hashes the chain two frames a level, so
-    # a deeper chain exits 3 there; compiling it takes no more frames.
+@pytest.mark.parametrize("depth", [330, 400])
+def test_a_330_deep_negation_chain_still_answers_under_check(tmp_path, depth):
+    # depth - 1 negations over p. Parsing hashes the chain recursively: each
+    # level is one record ``__hash__`` frame, entered from the field tuple's
+    # hash, and counts twice against the recursion limit, so a chain deeper
+    # than about 490 exits 3 there. Compiling it takes no more frames.
     deep = tmp_path / "deep.logag"
-    deep.write_text("~" * 329 + "p.\n")
+    deep.write_text("~" * (depth - 1) + "p.\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     argv = [sys.executable, "-c", "from logag.cli import console_main; console_main()", "check", str(deep)]
     done = subprocess.run(argv + ["--query", "p", "--query", "~p"], env=env, capture_output=True, timeout=60)
