@@ -39,7 +39,7 @@ def main():
     print(f"\nbeliefs stabilize at level {level}.")
     print("conflicts resolved on the way there:")
     for record in trace.levels:
-        for members in sorted(sorted(map(render, k.members)) for k in record.kernels):
+        for members in sorted(sorted(map(render, k)) for k in record.kernels):
             print(f"  entering level {record.index + 1}: {{{', '.join(members)}}}")
 
 

@@ -36,7 +36,9 @@ of ``FALSE`` (``~true``) read negated: ``satisfiable`` asks it, and
 ``is_consistent`` is the same function under a second name. A kernel
 search asks the session each check, ``(subset, ~true)`` or
 ``(frozenset(), member)`` for a tautology, so each subset it checks is
-loaded in turn.
+loaded in turn. It alone decides whether a set has conflicts: a
+telescoping step hands it every expansion, and it checks the set whole
+first when its atoms fit ``atom_cap``.
 
 The universe holds one object per distinct term, each child the universe's
 own object too, so a run's sets, memo keys and filters find equal terms by
@@ -50,11 +52,10 @@ of limits.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, KeysView
+from collections.abc import Iterable
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import CapacityError, EngineError
-from .records import record
 from .terms import TRUE, Atom, Grade, GradeEq, Less, Not, And, Or, Term, Theory, TrueTerm, render
 
 FALSE = Not(TRUE)  # the goal a base entails exactly when it is inconsistent
@@ -328,7 +329,6 @@ class Session:
         """Whether the loaded base entails ``goal``, searched for only if unsettled.
 
         A literal goal (one variable) some model leaves false or open is not
-        entailed, nor ``~x`` if the base has a model and the memo holds ``x``
         entailed; the memo settles ``l | r`` by an entailed part, ``l & r``
         by an unentailed one.
         """
@@ -337,8 +337,7 @@ class Session:
             return True
         if isinstance(goal, And) and False in (memo.get((base, goal.left)), memo.get((base, goal.right))):
             return False
-        literal = len(entry.vars) == 1 and entry.lit is not False
-        if literal or isinstance(goal, Not) and memo.get((base, goal.inner)):
+        if len(entry.vars) == 1 and entry.lit is not False:
             if self._models is None:  # once per load, true-first (unless kept) then false-first
                 solver, self._models = self._solver, []
                 for order in (self._order, [-v for v in self._order]):
@@ -348,7 +347,7 @@ class Session:
                         self._models.append(set(solver.trail))
                     solver.undo(self._trail_mark)
                 self._base_false = not self._models
-            if self._models and (not literal or any(entry.lit not in m for m in self._models)):
+            if any(entry.lit not in m for m in self._models):
                 return False
         return not self._consistent(None if entry.lit is False else entry)
 
@@ -447,10 +446,6 @@ class Universe:
     def __init__(self, terms: tuple[Term, ...], shared: dict[Term, Term]):
         self.terms, self.shared = terms, shared
 
-    @property
-    def term_set(self) -> KeysView[Term]:
-        return self.shared.keys()
-
 
 def relevant_universe(theory: Theory | Iterable[Term], extra: Iterable[Term] = ()) -> Universe:
     """The subterm closure of the roots, one object per distinct term.
@@ -484,13 +479,6 @@ def relevant_universe(theory: Theory | Iterable[Term], extra: Iterable[Term] = (
 
 # ---------------------------------------------------------------------------
 # Kernels
-
-
-@record
-class Kernel:
-    """A subset-minimal inconsistent subset of a queried base."""
-
-    members: frozenset[Term]
 
 
 def _components(entries: list[_Compiled]) -> list[list[int]]:
@@ -554,33 +542,23 @@ def _all_minimal_inconsistent(items: list[Term], session: Session, limits: Limit
 
 
 def bottom_kernels(
-    q: Iterable[Term],
-    universe: Universe,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-    session: Session | None = None,
-) -> frozenset[Kernel]:
+    q: Iterable[Term], *, limits: Limits = DEFAULT_LIMITS, session: Session | None = None
+) -> frozenset[frozenset[Term]]:
     """All subset-minimal inconsistent subsets of ``q``.
 
     ``q`` is expected to be already expanded — its members include whatever
     extracted propositions should be visible to conflict detection — so the
     minimality test is plain classical consistency of the subset itself.
     Every check is the session's question ``(subset, ~true)``, or
-    ``(frozenset(), member)`` for a tautology. A ``q`` the memo holds as
-    consistent, or whose atoms fit ``atom_cap`` and that is consistent when
-    checked whole, has no kernels. Otherwise tautologies are pruned (they
-    belong to no minimal inconsistent set), as is every atom-connected
-    component that is consistent as a whole; a component over ``atom_cap``
-    raises. The subsets a component's search checks lie inside it, so their
-    atoms fit the cap too.
+    ``(frozenset(), member)`` for a tautology. A ``q`` whose atoms fit
+    ``atom_cap`` is checked whole first, and has no kernels if consistent.
+    Otherwise tautologies are pruned (they belong to no minimal inconsistent
+    set), as is every atom-connected component that is consistent as a
+    whole; a component over ``atom_cap`` raises. The subsets a component's
+    search checks lie inside it, so their atoms fit the cap too.
     """
     session = Session() if session is None else session
     q_fs = _frozen(q)
-    if not q_fs <= universe.term_set:
-        missing = min(q_fs - universe.term_set, key=render)
-        raise EngineError(f"kernel query term outside universe: {render(missing)}")
-    if session.memo.get((q_fs, FALSE)) is False:
-        return frozenset()
     atoms = {atom for t in q_fs for atom in session.compiled(t).atoms}
     if len(atoms) <= limits.atom_cap and not session.entails(q_fs, FALSE, limits):
         return frozenset()
@@ -593,4 +571,4 @@ def bottom_kernels(
         if len(group) > limits.kernel_cap:
             raise CapacityError("kernel search base", limits.kernel_cap, len(group))
         kernels.extend(_all_minimal_inconsistent(members, session, limits))
-    return frozenset(Kernel(k) for k in kernels)
+    return frozenset(kernels)

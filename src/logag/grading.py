@@ -45,7 +45,6 @@ from itertools import compress, count, islice
 from operator import add
 
 from .classical import (
-    Kernel,
     Session,
     Universe,
     bottom_kernels,
@@ -208,7 +207,7 @@ def depth1_expansion(base: Iterable[Term], ctx: RunContext) -> frozenset[Term]:
     return filter_rep | {g.inner for g in filter_rep if isinstance(g, Grade)}
 
 
-def survives(p: Term, x: Kernel, table: GradeTable, ctx: RunContext) -> bool:
+def survives(p: Term, x: frozenset[Term], table: GradeTable, ctx: RunContext) -> bool:
     """Whether kernel member ``p`` withstands the conflict ``x`` at the step.
 
     A member survives if it is ungraded, or if the kernel pins the blame on
@@ -223,8 +222,8 @@ def survives(p: Term, x: Kernel, table: GradeTable, ctx: RunContext) -> bool:
     if p not in table.graded:
         return True
     p_grade = table.fused(p)
-    for other in x.members:
-        if other != p and ctx.refuted(other):
+    for other in x - {p}:
+        if ctx.refuted(other):
             return True
         if other in ctx.filter(ctx.top):
             continue
@@ -282,7 +281,7 @@ class LevelRecord:
     index: int
     base: frozenset[Term]
     expansion: frozenset[Term]
-    kernels: frozenset[Kernel]
+    kernels: frozenset[frozenset[Term]]
     survivors: frozenset[Term]
     supported: frozenset[Term]
     fixpoint_reached: bool
@@ -295,23 +294,15 @@ def telescope_once(base: frozenset[Term], index: int, ctx: RunContext) -> LevelR
     every kernel containing them, re-derives support, and tests whether the
     new base generates the same filter as the old one. Nothing here depends
     on how many levels the run goes on to, so traces are prefix-consistent.
-    A step that releases nothing asks about its base, whose filter is its
-    expansion; any other goes to the kernel search, whose whole-set question
-    loads the expansion for the next step's filter.
+    Every step hands its expansion to the kernel search, which alone decides
+    whether it has conflicts.
     """
     expansion = depth1_expansion(base, ctx)
-    released = len(expansion) > len(ctx.filter(base))
-    kernels = frozenset()
-    if (
-        released
-        or len({a for t in expansion for a in ctx.session.compiled(t).atoms}) > ctx.limits.atom_cap
-        or not is_consistent(base, limits=ctx.limits, session=ctx.session)
-    ):
-        kernels = bottom_kernels(expansion, ctx.universe, limits=ctx.limits, session=ctx.session)
+    kernels = bottom_kernels(expansion, limits=ctx.limits, session=ctx.session)
     table = GradeTable(expansion, ctx.canon, index + 1, ctx.towers)
     evicted: set[Term] = set()
     for x in kernels:
-        evicted.update(p for p in x.members - evicted if p in table.graded and not survives(p, x, table, ctx))
+        evicted.update(p for p in x - evicted if not survives(p, x, table, ctx))
     survivors = expansion - evicted
     next_base = supported(survivors, table, ctx)
     fixpoint = next_base == base or mutually_entailing(next_base, base, limits=ctx.limits, session=ctx.session)
@@ -453,9 +444,7 @@ def trace_to_dict(trace: TelescopeTrace) -> dict:
                 "index": record.index,
                 "base": _sorted_renders(record.base),
                 "expansion": _sorted_renders(record.expansion),
-                "kernels": sorted(
-                    [_sorted_renders(k.members) for k in record.kernels]
-                ),
+                "kernels": sorted(_sorted_renders(k) for k in record.kernels),
                 "survivors": _sorted_renders(record.survivors),
                 "supported": _sorted_renders(record.supported),
                 "fixpoint": record.fixpoint_reached,

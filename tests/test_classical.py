@@ -8,7 +8,6 @@ from logag import (
     And,
     Atom,
     CapacityError,
-    EngineError,
     Grade,
     Limits,
     Not,
@@ -19,7 +18,6 @@ from logag import (
 )
 from logag.classical import (
     FALSE,
-    Kernel,
     Session,
     _Solver,
     _components,
@@ -305,7 +303,7 @@ def test_one_session_answers_like_the_oracles_across_bases_goals_and_kernel_sear
         assert_only_the_base_is_loaded(session)
         if i % 5 == 0:
             q = frozenset(term_with_constants(rng, atoms, 2) for _ in range(6))
-            got = {k.members for k in bottom_kernels(q, relevant_universe(q), session=session)}
+            got = bottom_kernels(q, session=session)
             assert got == brute_kernels(q)
             assert_only_the_base_is_loaded(session)
         if i % 25 == 0:  # the fourth goal passes the atom cap: 5 atoms with the base
@@ -477,22 +475,18 @@ def test_a_shared_universe_is_not_rebuilt(penguin_brother):
 
 def test_kernels_whole_set_minimal():
     q = terms("p", "~p")
-    u = relevant_universe(q)
-    assert bottom_kernels(q, u) == {Kernel(q)}
+    assert bottom_kernels(q) == {q}
 
 
 def test_kernels_of_consistent_base_empty(penguin_brother):
-    u = relevant_universe(penguin_brother)
-    assert bottom_kernels(penguin_brother.terms, u) == frozenset()
+    assert bottom_kernels(penguin_brother.terms) == frozenset()
 
 
 def test_kernels_match_brute_force_on_random_bases(rng):
     atoms = ["a", "b", "c", "d"]
     for _ in range(40):
         q = frozenset(random_term(rng, atoms, 2, allow_grades=True) for _ in range(6))
-        u = relevant_universe(q)
-        got = {k.members for k in bottom_kernels(q, u)}
-        assert got == brute_kernels(q)
+        assert bottom_kernels(q) == brute_kernels(q)
 
 
 def test_kernels_match_brute_force_across_components_with_false_members(rng):
@@ -502,25 +496,21 @@ def test_kernels_match_brute_force_across_components_with_false_members(rng):
         if i % 2:
             q.add(And(Atom(rng.choice("ace")), T("2 < 1")))  # folds to false
         q = frozenset(q)
-        u = relevant_universe(q)
-        got = {k.members for k in bottom_kernels(q, u)}
-        assert got == brute_kernels(q)
+        assert bottom_kernels(q) == brute_kernels(q)
 
 
 def test_kernel_search_checks_component_atoms_before_the_kernel_cap():
     # One component: 26 members (over kernel_cap 20) and 25 atoms (over atom_cap 24).
     q = frozenset(T(f"~x{i} | x{i + 1}") for i in range(24)) | terms("x0", "~x24")
-    u = relevant_universe(q)
     with pytest.raises(CapacityError) as err:
-        bottom_kernels(q, u)
+        bottom_kernels(q)
     assert (err.value.what, err.value.limit, err.value.actual) == ("atom count", 24, 25)
 
 
 def test_kernel_cap_enforced():
     q = frozenset(T(f"x | p{i}") for i in range(22)) | terms("x", "~x")
-    u = relevant_universe(q)
     with pytest.raises(CapacityError):
-        bottom_kernels(q, u, limits=Limits(kernel_cap=20))
+        bottom_kernels(q, limits=Limits(kernel_cap=20))
 
 
 # -- the whole-set check before the kernel search ----------------------------
@@ -529,44 +519,32 @@ def test_kernel_cap_enforced():
 def test_consistent_set_over_the_atom_cap_with_small_components_has_no_kernels():
     # Nine components of three atoms each: 27 atoms in all, over atom_cap 24.
     q = frozenset(T(f"a{i} | b{i} | c{i}") for i in range(9)) | frozenset(T(f"a{i}") for i in range(9))
-    assert bottom_kernels(q, relevant_universe(q)) == frozenset()
+    assert bottom_kernels(q) == frozenset()
 
 
 def test_consistent_component_over_the_atom_cap_still_raises():
     # One component, consistent (every x true): 25 atoms, over atom_cap 24.
     q = frozenset(T(f"~x{i} | x{i + 1}") for i in range(24)) | terms("x0")
     with pytest.raises(CapacityError) as err:
-        bottom_kernels(q, relevant_universe(q))
+        bottom_kernels(q)
     assert (err.value.what, err.value.limit, err.value.actual) == ("atom count", 24, 25)
 
 
 def test_repeated_consistent_set_is_answered_from_the_memo(monkeypatch):
     q = terms("a | b", "~a", "c & ~d", "G(p, 2)")
-    u = relevant_universe(q)
     session = Session()
-    assert bottom_kernels(q, u, session=session) == frozenset()
+    assert bottom_kernels(q, session=session) == frozenset()
     assert session.memo[q, T("~true")] is False
-    calls = []
-    for cls, name in ((_Solver, "search"), (Session, "compiled")):
-        original = getattr(cls, name)
+    searches = []
+    search = _Solver.search
 
-        def counted(self, *args, original=original, name=name):
-            calls.append(name)
-            return original(self, *args)
+    def counted(self, *args):
+        searches.append(args)
+        return search(self, *args)
 
-        monkeypatch.setattr(cls, name, counted)
-    assert bottom_kernels(frozenset(set(q)), u, session=session) == frozenset()
-    assert calls == []
-
-
-def test_kernel_query_outside_the_universe_names_the_first_missing_term():
-    q = terms("z", "a", "b | c")
-    session = Session()
-    with pytest.raises(EngineError, match=r"outside universe: b \| c$"):
-        bottom_kernels(q, relevant_universe(terms("a")), session=session)
-    session.memo[q, FALSE] = False
-    with pytest.raises(EngineError, match=r"outside universe: b \| c$"):
-        bottom_kernels(q, relevant_universe(terms("a")), session=session)
+    monkeypatch.setattr(_Solver, "search", counted)
+    assert bottom_kernels(frozenset(set(q)), session=session) == frozenset()
+    assert searches == []
 
 
 def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsistent_sets(rng):
@@ -596,7 +574,7 @@ def test_shared_session_kernels_match_brute_force_across_consistent_and_inconsis
             q = frozenset(term_with_constants(rng, g, 2) for g in chosen for _ in range(rng.randint(1, 3)))
             q |= frozenset(rng.sample(extras, rng.randint(0, 3)))
             seen.append(q)
-        got = {k.members for k in bottom_kernels(q, relevant_universe(q), limits=limits, session=session)}
+        got = bottom_kernels(q, limits=limits, session=session)
         assert got == brute_kernels(q)
         assert_only_the_base_is_loaded(session)
         assert all(session.memo.get((k, FALSE)) is True for k in got)
@@ -634,7 +612,7 @@ def test_a_kernel_search_builds_no_solver_but_one_map_per_inconsistent_component
         is_consistent(universe.terms, session=session)  # every term compiled, and the solver sized
         solver = session._solver
         built.clear()
-        got = {k.members for k in bottom_kernels(q, universe, session=session)}
+        got = bottom_kernels(q, session=session)
         assert got == brute_kernels(q)
         kernels_found += bool(got)
         candidates = [t for t in sorted(q, key=render) if not tt_entails(frozenset(), t)]

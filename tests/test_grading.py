@@ -33,7 +33,6 @@ from logag import (
 )
 from logag.classical import (
     FALSE,
-    Kernel,
     Session,
     entails,
     entails_each,
@@ -196,27 +195,18 @@ def test_expansion_without_gradings_adds_no_new_content():
     assert all(entails(th.terms, t) for t in q)
 
 
-def test_a_step_that_releases_nothing_asks_about_its_base_not_its_expansion(monkeypatch):
+def test_a_step_that_releases_nothing_has_no_kernels_and_refuses_past_the_atom_cap():
     """Its expansion is the base's filter, consistent exactly when the base is.
 
-    Within ``atom_cap`` the step asks about the still-loaded base and loads
-    no expansion; past it, the kernel search runs as before, and a component
-    over the cap raises.
+    The kernel search decides it like any other expansion: within
+    ``atom_cap`` a consistent one has no kernels; past it, a component over
+    the cap raises.
     """
-    loaded = []
-    load = Session._load
-
-    def spy(self, base):
-        loaded.append(base)
-        return load(self, base)
-
-    monkeypatch.setattr(Session, "_load", spy)
     # Step 0 releases p; step 1's base holds it, so G(p, 1) releases nothing.
     trace = telescope_n(parse_theory("G(p, 1).\n~p | q.\n"), Canon("sum", "max", 1))
     record = trace.levels[1]
     assert record.expansion == trace.context.filter(record.base) > record.base
     assert record.kernels == frozenset()
-    assert record.expansion not in loaded
     # No grading term releases anything, but the entailed x0 | y and x1 | z
     # take the expansion's one component to 4 atoms, past atom_cap 3.
     th = parse_theory("x0.\n~x0 | x1.\n")
@@ -283,13 +273,13 @@ def level2_scene(penguin_brother):
 
 def test_ungraded_member_survives(level2_scene):
     ctx, q2, _ = level2_scene
-    kernel = Kernel(terms("f", "~f"))
+    kernel = terms("f", "~f")
     assert survives(T("~f"), kernel, table(q2, ctx, 2), ctx)
 
 
 def test_weaker_graded_member_falls(level2_scene):
     ctx, q2, _ = level2_scene
-    kernel = Kernel(terms("p", "~p | ~f", "f"))
+    kernel = terms("p", "~p | ~f", "f")
     grades = table(q2, ctx, 2)
     assert not survives(T("p"), kernel, grades, ctx)
     assert survives(T("f"), kernel, grades, ctx)
@@ -299,7 +289,7 @@ def test_equal_grades_fall_together():
     th = parse_theory("G(a, 3).\nG(b, 3).\n~a | ~b.\n")
     ctx = context(th, "sum", "max")
     q = depth1_expansion(th.terms, ctx)
-    kernel = Kernel(terms("a", "b", "~a | ~b"))
+    kernel = terms("a", "b", "~a | ~b")
     grades = table(q, ctx, 1)
     assert not survives(T("a"), kernel, grades, ctx)
     assert not survives(T("b"), kernel, grades, ctx)
@@ -323,8 +313,8 @@ def test_symmetric_ungraded_pair_both_survive():
     th = parse_theory("q.\n")
     ctx = context(th, "sum", "max", queries=[T("p"), T("~p")])
     q = frozenset({T("p"), T("~p"), T("q")})
-    assert survives(T("p"), Kernel(terms("p", "~p")), table(q, ctx, 1), ctx)
-    assert survives(T("~p"), Kernel(terms("p", "~p")), table(q, ctx, 1), ctx)
+    assert survives(T("p"), terms("p", "~p"), table(q, ctx, 1), ctx)
+    assert survives(T("~p"), terms("p", "~p"), table(q, ctx, 1), ctx)
 
 
 # Theory 44 of the random-batch stream for seed 1: ``~p5`` is buried three
@@ -340,9 +330,36 @@ def test_a_proposition_without_an_immediate_grader_is_ungraded():
     q = depth1_expansion(th.terms, ctx)
     grades = table(q, ctx, 1)
     assert T("~p5") in q and buriers(grades, T("~p5")) and T("~p5") not in grades.graded
-    kernel = Kernel(terms("(p4 | p1) & p5", "~p5"))
+    kernel = terms("(p4 | p1) & p5", "~p5")
     assert survives(T("~p5"), kernel, grades, ctx)
     assert not survives(T("(p4 | p1) & p5"), kernel, grades, ctx)
+
+
+@pytest.mark.parametrize("otimes, oplus", [("sum", "max"), ("mean", "min")])
+def test_every_step_records_the_brute_force_kernels_of_its_expansion(rng, otimes, oplus):
+    """Each step's kernels are its expansion's, steps that release nothing included.
+
+    A satisfiable expansion has no inconsistent subset, so only an
+    unsatisfiable one is searched by brute force, once per distinct
+    expansion. An inconsistent theory's levels are the improper filter, with
+    no kernel search, and are skipped.
+    """
+    expected: dict[frozenset, set] = {}
+    checked = released_nothing = with_kernels = 0
+    for _ in range(80):
+        th = random_theory(rng, n_terms=rng.randint(2, 6), atoms=["a", "b", "c"], allow_grades=True)
+        if not is_consistent(th.terms):
+            continue
+        trace = telescope_n(th, Canon(otimes, oplus, 4))
+        for record in trace.levels:
+            q = record.expansion
+            if q not in expected:
+                expected[q] = set() if oracles.tt_satisfiable(q) else oracles.brute_kernels(q)
+            assert record.kernels == expected[q]
+            checked += 1
+            released_nothing += q == trace.context.filter(record.base)
+            with_kernels += bool(record.kernels)
+    assert checked >= 200 and released_nothing >= 150 and with_kernels >= 15
 
 
 def test_survivors_match_the_survival_oracle(rng):
@@ -350,7 +367,7 @@ def test_survivors_match_the_survival_oracle(rng):
         th = random_theory(rng, n_terms=rng.randint(2, 5), atoms=["a", "b", "c"], allow_grades=True)
         otimes, oplus = rng.choice(OPERATORS)
         for record in telescope_n(th, Canon(otimes, oplus, 3)).levels:
-            kernels = [k.members for k in record.kernels]
+            kernels = list(record.kernels)
             canon = Canon(otimes, oplus, record.index + 1)
             assert record.survivors == oracles.survivors(record.expansion, kernels, th.terms, canon)
 
@@ -592,7 +609,7 @@ def test_a_run_holds_one_object_per_term(request, name):
     held = [ctx.top]
     for record in trace.levels:
         held += [record.base, record.expansion, record.survivors, record.supported]
-        held += [k.members for k in record.kernels]
+        held += record.kernels
     assert any(record.kernels for record in trace.levels)
     assert all(id(t) in shared for ts in held for t in ts)
 
@@ -615,7 +632,7 @@ def test_refuted_matches_entailment_of_the_negation(rng):
         ctx = RunContext(th.terms, relevant_universe(th, negations), Canon("sum", "max", 0), WIDE)
         for t in ctx.universe.terms:
             assert ctx.refuted(t) == entails(ctx.top, Not(t), limits=WIDE)
-            checked += Not(t) in ctx.universe.term_set
+            checked += Not(t) in ctx.universe.shared
     assert checked >= 50
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from logag import DEFAULT_LIMITS, Canon, Limits, default_indexing, telescope_n, verify
-from logag.classical import Kernel
 from logag.records import FrozenError
 
 SRC = Path(__file__).parent.parent / "src"
@@ -64,12 +63,10 @@ def test_records_survive_copies_and_pickles(penguin_rules, penguin_rules_theory)
     limits = Limits(atom_cap=256)
     trace = telescope_n(penguin_rules_theory, Canon("sum", "max", 3), (), limits)
     structure, report1, report2 = verify(penguin_rules, default_indexing(penguin_rules), limits)[-1]
-    kernel = next(k for record in trace.levels for k in record.kernels)
     samples = [
-        limits, trace.context.canon, penguin_rules_theory, trace.levels[1], kernel,
+        limits, trace.context.canon, penguin_rules_theory, trace.levels[1],
         penguin_rules, penguin_rules.rules[0], structure, report1, report2, default_indexing(penguin_rules),
     ]
-    assert isinstance(kernel, Kernel)
     for rec in samples:
         assert not hasattr(rec, "__dict__")
         for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
